@@ -85,8 +85,7 @@
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
 #include "harness/sharded_runner.h"
-#include "harness/socket_runner.h"
-#include "harness/threaded_runner.h"
+#include "harness/socket_cluster.h"
 
 namespace prestige {
 namespace bench {
@@ -198,10 +197,8 @@ ScenarioResult Instrumented(const std::function<void(ScenarioResult&)>& body) {
 
 template <typename Cluster>
 void FillClusterCounters(Cluster& cluster, ScenarioResult& r) {
-  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-    r.view_changes += cluster.replica(i).metrics().view_changes_started;
-    r.elections_won += cluster.replica(i).metrics().elections_won;
-  }
+  r.view_changes = cluster.ViewChanges();
+  r.elections_won = cluster.ElectionsWon();
 }
 
 /// Steady-state replication on an n-server fault-free cluster.
@@ -406,31 +403,170 @@ std::string ProtocolJson(const char* protocol,
   return out;
 }
 
-/// Runs `spec` as a seed sweep on PrestigeBFT + the HotStuff and SBFT
-/// baselines. Flat result fields mirror the PrestigeBFT aggregate.
-ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
+/// One wall-clock run of `spec` (PrestigeBFT, `workers` prologue workers
+/// per node) on `Backend`. A refused or unsafe run is reported under
+/// `label` and clears r.safe; r's simulated numbers ride along in the log
+/// line for comparison.
+template <typename Backend>
+harness::BackendRunResult RunOnBackend(const harness::ScenarioSpec& spec,
+                                       const std::string& label,
+                                       uint32_t workers, ScenarioResult& r) {
+  harness::WorkloadOptions workload = ScenarioWorkload(g_sweep_base_seed);
+  workload.workers_per_node = workers;
+  const harness::BackendRunResult rt =
+      harness::RunScenarioOnBackend<core::PrestigeReplica,
+                                    core::PrestigeConfig, Backend>(
+          spec, PaperPrestigeConfig(spec.n, 500), workload);
+  if (!rt.ran) {
+    std::fprintf(stderr, "bench_runner: %s run skipped: %s\n", label.c_str(),
+                 rt.error.c_str());
+    r.safe = false;
+    return rt;
+  }
+  if (!rt.safety_ok) {
+    std::fprintf(stderr, "bench_runner: SAFETY VIOLATION (%s) %s: %s\n",
+                 label.c_str(), spec.name.c_str(), rt.violation.c_str());
+    r.safe = false;
+  }
+  std::printf(
+      "  %s: committed=%lld tps=%.1f p50=%.2fms p99=%.2fms msgs=%llu "
+      "safe=%s   (sim tps=%.1f p50=%.2fms)\n",
+      label.c_str(), static_cast<long long>(rt.committed), rt.tps, rt.p50_ms,
+      rt.p99_ms,
+      static_cast<unsigned long long>(rt.counters.messages_delivered),
+      rt.safety_ok ? "yes" : "NO", r.tps, r.p50_ms);
+  return rt;
+}
+
+/// A wall-clock backend's BENCH block ("threaded" / "socket"): one schema
+/// for every backend, closed by `tail` — the backend's own members
+/// (worker_sweep and group_sweep on threaded, net on socket).
+std::string BackendBlockJson(const char* backend,
+                             const harness::BackendRunResult& rt,
+                             const std::string& tail) {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"%s\": {\n"
+      "    \"protocol\": \"prestigebft\",\n"
+      "    \"duration_seconds\": %.3f,\n"
+      "    \"committed\": %lld,\n"
+      "    \"throughput_tps\": %.1f,\n"
+      "    \"p50_latency_ms\": %.4f,\n"
+      "    \"p99_latency_ms\": %.4f,\n"
+      "    \"mean_latency_ms\": %.4f,\n"
+      "    \"view_changes\": %lld,\n"
+      "    \"replies\": %lld,\n"
+      "    \"duplicate_suppressed\": %lld,\n"
+      "    \"result_mismatches\": %lld,\n"
+      "    \"executed\": %lld,\n"
+      "    \"messages_delivered\": %llu,\n"
+      "    \"min_height\": %lld,\n"
+      "    \"max_height\": %lld,\n"
+      "    \"safe\": %s,\n",
+      backend, rt.duration_seconds, static_cast<long long>(rt.committed),
+      rt.tps, rt.p50_ms, rt.p99_ms, rt.mean_ms,
+      static_cast<long long>(rt.view_changes),
+      static_cast<long long>(rt.replies),
+      static_cast<long long>(rt.duplicate_suppressed),
+      static_cast<long long>(rt.result_mismatches),
+      static_cast<long long>(rt.executed),
+      static_cast<unsigned long long>(rt.counters.messages_delivered),
+      static_cast<long long>(rt.min_height),
+      static_cast<long long>(rt.max_height),
+      rt.safety_ok ? "true" : "false");
+  return buf + tail + "\n  },\n";
+}
+
+/// Sharded open-loop group sweep (--groups): one wall-clock threaded run
+/// per group count — G disjoint consensus groups of spec.n replicas each
+/// behind a shard::Router, open-loop Poisson load, and the full
+/// cross-group safety sweep. Returns the "group_sweep" rows (empty without
+/// --groups); an unsafe row — a safety violation or any client-observed
+/// result mismatch — clears r.safe.
+std::string GroupSweepJson(const harness::ScenarioSpec& spec,
+                           ScenarioResult& r) {
+  std::string rows;
+  const std::vector<uint32_t> group_counts = GroupCounts();
+  for (size_t gi = 0; gi < group_counts.size(); ++gi) {
+    const uint32_t groups = group_counts[gi];
+    const harness::ShardedRunResult sr =
+        harness::RunSharded<core::PrestigeReplica, core::PrestigeConfig,
+                            harness::ThreadedBackend>(
+            PaperPrestigeConfig(spec.n, 500),
+            GroupSweepWorkload(g_sweep_base_seed, groups),
+            spec.TotalDuration(),
+            [] { return std::make_unique<app::KvService>(1 << 16); });
+    const bool safe = sr.safety_ok && sr.result_mismatches == 0;
+    if (!safe) {
+      std::fprintf(stderr,
+                   "bench_runner: SAFETY VIOLATION (threaded, groups=%u) "
+                   "%s: %s (result mismatches: %lld)\n",
+                   groups, spec.name.c_str(), sr.violation.c_str(),
+                   static_cast<long long>(sr.result_mismatches));
+      r.safe = false;
+    }
+    std::printf(
+        "  threaded[groups=%u]: committed=%lld tps=%.1f "
+        "e2e_p50=%.2fms e2e_p99=%.2fms slo_frac=%.3f shed=%lld "
+        "keys=%lld mismatches=%lld safe=%s\n",
+        groups, static_cast<long long>(sr.committed), sr.tps, sr.e2e_p50_ms,
+        sr.e2e_p99_ms, sr.slo_fraction, static_cast<long long>(sr.shed),
+        static_cast<long long>(sr.distinct_keys),
+        static_cast<long long>(sr.result_mismatches), safe ? "yes" : "NO");
+    char gbuf[704];
+    std::snprintf(
+        gbuf, sizeof(gbuf),
+        "      {\"groups\": %u, \"duration_seconds\": %.3f, "
+        "\"committed\": %lld, \"throughput_tps\": %.1f, "
+        "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
+        "\"e2e_p50_ms\": %.4f, \"e2e_p99_ms\": %.4f, "
+        "\"e2e_p999_ms\": %.4f, \"slo_ms\": %.1f, "
+        "\"slo_fraction\": %.4f, \"arrivals\": %lld, "
+        "\"admitted\": %lld, \"shed\": %lld, \"routed_txs\": %lld, "
+        "\"distinct_keys\": %lld, \"result_mismatches\": %lld, "
+        "\"safe\": %s}%s\n",
+        sr.groups, sr.duration_seconds, static_cast<long long>(sr.committed),
+        sr.tps, sr.p50_ms, sr.p99_ms, sr.e2e_p50_ms, sr.e2e_p99_ms,
+        sr.e2e_p999_ms, sr.slo_ms, sr.slo_fraction,
+        static_cast<long long>(sr.arrivals),
+        static_cast<long long>(sr.admitted), static_cast<long long>(sr.shed),
+        static_cast<long long>(sr.routed_txs),
+        static_cast<long long>(sr.distinct_keys),
+        static_cast<long long>(sr.result_mismatches),
+        safe ? "true" : "false", gi + 1 < group_counts.size() ? "," : "");
+    rows += gbuf;
+  }
+  return rows;
+}
+
+/// Runs a seed sweep on PrestigeBFT + the HotStuff and SBFT baselines;
+/// `spec_fn` maps each seed to its ScenarioSpec. Flat result fields mirror
+/// the PrestigeBFT aggregate; `label` names the sweep in violation logs.
+template <typename SpecFn>
+ScenarioResult SweepAllProtocols(SpecFn spec_fn, const std::string& label) {
   const uint32_t seeds = g_sweep_seeds;
   const uint64_t base_seed = g_sweep_base_seed;
   const uint32_t jobs = g_jobs == 0 ? DefaultJobs() : g_jobs;
-  ScenarioResult result = Instrumented([&](ScenarioResult& r) {
-    r.n = spec.n;
+  return Instrumented([&](ScenarioResult& r) {
+    const uint32_t n = spec_fn(base_seed).n;
+    r.n = n;
 
-    const auto prestige =
-        harness::RunScenarioSweep<core::PrestigeReplica, core::PrestigeConfig>(
-            spec, PaperPrestigeConfig(spec.n, 500), ScenarioWorkload(0),
-            base_seed, seeds, jobs);
-    const auto hotstuff = harness::RunScenarioSweep<
+    const auto prestige = harness::RunScenarioSweepGen<
+        core::PrestigeReplica, core::PrestigeConfig>(
+        spec_fn, PaperPrestigeConfig(n, 500), ScenarioWorkload(0), base_seed,
+        seeds, jobs);
+    const auto hotstuff = harness::RunScenarioSweepGen<
         baselines::hotstuff::HotStuffReplica,
         baselines::hotstuff::HotStuffConfig>(
-        spec, PaperHotStuffConfig(spec.n, 500), ScenarioWorkload(0),
-        base_seed, seeds, jobs);
+        spec_fn, PaperHotStuffConfig(n, 500), ScenarioWorkload(0), base_seed,
+        seeds, jobs);
     baselines::sbft::SbftConfig sbft_config;
-    sbft_config.n = spec.n;
+    sbft_config.n = n;
     sbft_config.batch_size = 500;
-    const auto sbft =
-        harness::RunScenarioSweep<baselines::sbft::SbftReplica,
-                                  baselines::sbft::SbftConfig>(
-            spec, sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
+    const auto sbft = harness::RunScenarioSweepGen<
+        baselines::sbft::SbftReplica, baselines::sbft::SbftConfig>(
+        spec_fn, sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
 
     r.committed = prestige.committed_total;
     r.tps = prestige.tps_mean;
@@ -466,13 +602,20 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
         if (!seed.safety_ok) {
           std::fprintf(stderr,
                        "bench_runner: SAFETY VIOLATION %s seed %llu: %s\n",
-                       spec.name.c_str(),
+                       label.c_str(),
                        static_cast<unsigned long long>(seed.seed),
                        seed.violation.c_str());
         }
       }
     }
   });
+}
+
+/// Runs `spec` as a seed sweep on all three protocols, then on the
+/// wall-clock backends --runtime selects.
+ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
+  ScenarioResult result = SweepAllProtocols(
+      [&spec](uint64_t) { return spec; }, spec.name);
 
   // Real-time comparison runs: the same workload on the threaded backend
   // (PrestigeBFT; wall-clock numbers, scheduler-dependent by design), once
@@ -482,131 +625,20 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
   // wall_ms / events / events_per_sec track the simulator hot path across
   // PRs, and a 6 s real-time sleep per count would corrupt that trajectory.
   if (g_threaded) {
-    std::vector<harness::ThreadedRunResult> sweep;
+    std::vector<harness::BackendRunResult> sweep;
     for (const uint32_t workers : WorkerCounts()) {
-      harness::WorkloadOptions workload = ScenarioWorkload(g_sweep_base_seed);
-      workload.workers_per_node = workers;
-      const harness::ThreadedRunResult rt =
-          harness::RunThreadedScenario<core::PrestigeReplica,
-                                       core::PrestigeConfig>(
-              spec, PaperPrestigeConfig(spec.n, 500), workload);
-      if (!rt.ran) {
-        std::fprintf(stderr, "bench_runner: threaded run skipped: %s\n",
-                     rt.error.c_str());
-        result.safe = false;
-        break;
-      }
-      if (!rt.safety_ok) {
-        std::fprintf(stderr,
-                     "bench_runner: SAFETY VIOLATION (threaded, workers=%u) "
-                     "%s: %s\n",
-                     workers, spec.name.c_str(), rt.violation.c_str());
-        result.safe = false;
-      }
-      std::printf(
-          "  threaded[workers=%u]: committed=%lld tps=%.1f p50=%.2fms "
-          "p99=%.2fms msgs=%llu safe=%s   (sim tps=%.1f p50=%.2fms)\n",
-          workers, static_cast<long long>(rt.committed), rt.tps, rt.p50_ms,
-          rt.p99_ms, static_cast<unsigned long long>(rt.messages_delivered),
-          rt.safety_ok ? "yes" : "NO", result.tps, result.p50_ms);
+      const std::string label = "threaded[workers=" +
+                                std::to_string(workers) + "]";
+      const harness::BackendRunResult rt =
+          RunOnBackend<harness::ThreadedBackend>(spec, label, workers,
+                                                 result);
+      if (!rt.ran) break;
       sweep.push_back(rt);
     }
-    // Sharded open-loop group sweep (--groups): one wall-clock run per
-    // group count — G disjoint consensus groups of spec.n replicas each
-    // behind a shard::Router, open-loop Poisson load, and the full
-    // cross-group safety sweep. The flat threaded fields above are
-    // untouched: they keep describing the classic unsharded closed-loop
-    // run, so trajectory tooling reads every BENCH file uniformly.
-    std::string group_json;
-    const std::vector<uint32_t> group_counts = GroupCounts();
     if (!sweep.empty()) {
-      for (size_t gi = 0; gi < group_counts.size(); ++gi) {
-        const uint32_t groups = group_counts[gi];
-        const harness::ShardedRunResult sr =
-            harness::RunShardedThreaded<core::PrestigeReplica,
-                                        core::PrestigeConfig>(
-                PaperPrestigeConfig(spec.n, 500),
-                GroupSweepWorkload(g_sweep_base_seed, groups),
-                spec.TotalDuration(),
-                [] { return std::make_unique<app::KvService>(1 << 16); });
-        if (!sr.safety_ok) {
-          std::fprintf(stderr,
-                       "bench_runner: SAFETY VIOLATION (threaded, "
-                       "groups=%u) %s: %s\n",
-                       groups, spec.name.c_str(), sr.violation.c_str());
-          result.safe = false;
-        }
-        std::printf(
-            "  threaded[groups=%u]: committed=%lld tps=%.1f "
-            "e2e_p50=%.2fms e2e_p99=%.2fms slo_frac=%.3f shed=%lld "
-            "keys=%lld safe=%s\n",
-            groups, static_cast<long long>(sr.committed), sr.tps,
-            sr.e2e_p50_ms, sr.e2e_p99_ms, sr.slo_fraction,
-            static_cast<long long>(sr.shed),
-            static_cast<long long>(sr.distinct_keys),
-            sr.safety_ok ? "yes" : "NO");
-        char gbuf[640];
-        std::snprintf(
-            gbuf, sizeof(gbuf),
-            "      {\"groups\": %u, \"duration_seconds\": %.3f, "
-            "\"committed\": %lld, \"throughput_tps\": %.1f, "
-            "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
-            "\"e2e_p50_ms\": %.4f, \"e2e_p99_ms\": %.4f, "
-            "\"e2e_p999_ms\": %.4f, \"slo_ms\": %.1f, "
-            "\"slo_fraction\": %.4f, \"arrivals\": %lld, "
-            "\"admitted\": %lld, \"shed\": %lld, \"routed_txs\": %lld, "
-            "\"distinct_keys\": %lld, \"safe\": %s}%s\n",
-            sr.groups, sr.duration_seconds,
-            static_cast<long long>(sr.committed), sr.tps, sr.p50_ms,
-            sr.p99_ms, sr.e2e_p50_ms, sr.e2e_p99_ms, sr.e2e_p999_ms,
-            sr.slo_ms, sr.slo_fraction,
-            static_cast<long long>(sr.arrivals),
-            static_cast<long long>(sr.admitted),
-            static_cast<long long>(sr.shed),
-            static_cast<long long>(sr.routed_txs),
-            static_cast<long long>(sr.distinct_keys),
-            sr.safety_ok ? "true" : "false",
-            gi + 1 < group_counts.size() ? "," : "");
-        group_json += gbuf;
-      }
-    }
-    if (!sweep.empty()) {
-      const harness::ThreadedRunResult& rt = sweep.front();  // workers=0.
-      char tbuf[768];
-      std::snprintf(
-          tbuf, sizeof(tbuf),
-          "  \"threaded\": {\n"
-          "    \"protocol\": \"prestigebft\",\n"
-          "    \"duration_seconds\": %.3f,\n"
-          "    \"committed\": %lld,\n"
-          "    \"throughput_tps\": %.1f,\n"
-          "    \"p50_latency_ms\": %.4f,\n"
-          "    \"p99_latency_ms\": %.4f,\n"
-          "    \"mean_latency_ms\": %.4f,\n"
-          "    \"view_changes\": %lld,\n"
-          "    \"replies\": %lld,\n"
-          "    \"duplicate_suppressed\": %lld,\n"
-          "    \"result_mismatches\": %lld,\n"
-          "    \"executed\": %lld,\n"
-          "    \"messages_delivered\": %llu,\n"
-          "    \"min_height\": %lld,\n"
-          "    \"max_height\": %lld,\n"
-          "    \"safe\": %s,\n"
-          "    \"worker_sweep\": [\n",
-          rt.duration_seconds, static_cast<long long>(rt.committed), rt.tps,
-          rt.p50_ms, rt.p99_ms, rt.mean_ms,
-          static_cast<long long>(rt.view_changes),
-          static_cast<long long>(rt.replies),
-          static_cast<long long>(rt.duplicate_suppressed),
-          static_cast<long long>(rt.result_mismatches),
-          static_cast<long long>(rt.executed),
-          static_cast<unsigned long long>(rt.messages_delivered),
-          static_cast<long long>(rt.min_height),
-          static_cast<long long>(rt.max_height),
-          rt.safety_ok ? "true" : "false");
-      result.extra_json += tbuf;
+      std::string tail = "    \"worker_sweep\": [\n";
       for (size_t i = 0; i < sweep.size(); ++i) {
-        const harness::ThreadedRunResult& wr = sweep[i];
+        const harness::BackendRunResult& wr = sweep[i];
         char wbuf[384];
         std::snprintf(
             wbuf, sizeof(wbuf),
@@ -615,21 +647,20 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
             "\"p50_latency_ms\": %.4f, \"p99_latency_ms\": %.4f, "
             "\"mean_latency_ms\": %.4f, \"messages_delivered\": %llu, "
             "\"safe\": %s}%s\n",
-            wr.workers, wr.duration_seconds,
+            wr.counters.workers, wr.duration_seconds,
             static_cast<long long>(wr.committed), wr.tps, wr.p50_ms,
             wr.p99_ms, wr.mean_ms,
-            static_cast<unsigned long long>(wr.messages_delivered),
+            static_cast<unsigned long long>(wr.counters.messages_delivered),
             wr.safety_ok ? "true" : "false",
             i + 1 < sweep.size() ? "," : "");
-        result.extra_json += wbuf;
+        tail += wbuf;
       }
-      result.extra_json += "    ]";
+      tail += "    ]";
+      const std::string group_json = GroupSweepJson(spec, result);
       if (!group_json.empty()) {
-        result.extra_json += ",\n    \"group_sweep\": [\n";
-        result.extra_json += group_json;
-        result.extra_json += "    ]";
+        tail += ",\n    \"group_sweep\": [\n" + group_json + "    ]";
       }
-      result.extra_json += "\n  },\n";
+      result.extra_json += BackendBlockJson("threaded", sweep.front(), tail);
     }
   }
 
@@ -637,90 +668,43 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
   // traffic crossing real loopback UDP datagrams through the wire codec
   // and per-peer sequence framing. Like the threaded block this stays
   // OUTSIDE the Instrumented window (real-time sleep would corrupt the
-  // simulator wall/event trajectory). The "socket" JSON block carries the
+  // simulator wall/event trajectory). The "socket" block adds the
   // frame/drop counters so CI can watch the decode-hardening surface.
   if (g_socket) {
-    const harness::SocketRunResult sr =
-        harness::RunSocketScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(
-            spec, PaperPrestigeConfig(spec.n, 500),
-            ScenarioWorkload(g_sweep_base_seed));
-    if (!sr.base.ran) {
-      std::fprintf(stderr, "bench_runner: socket run skipped: %s\n",
-                   sr.base.error.c_str());
-      result.safe = false;
-    } else {
-      if (!sr.base.safety_ok) {
-        std::fprintf(stderr,
-                     "bench_runner: SAFETY VIOLATION (socket) %s: %s\n",
-                     spec.name.c_str(), sr.base.violation.c_str());
-        result.safe = false;
-      }
+    const harness::BackendRunResult sr =
+        RunOnBackend<harness::SocketBackend>(spec, "socket", 0, result);
+    if (sr.ran) {
+      const net::FrameCounters& c = sr.counters.net;
       std::printf(
-          "  socket: committed=%lld tps=%.1f p50=%.2fms p99=%.2fms "
-          "frames=%llu/%llu gaps=%llu drops=%llu safe=%s   (sim "
-          "tps=%.1f)\n",
-          static_cast<long long>(sr.base.committed), sr.base.tps,
-          sr.base.p50_ms, sr.base.p99_ms,
-          static_cast<unsigned long long>(sr.net.frames_sent),
-          static_cast<unsigned long long>(sr.net.frames_received),
-          static_cast<unsigned long long>(sr.net.seq_gaps),
-          static_cast<unsigned long long>(
-              sr.net.header_drops + sr.net.length_drops +
-              sr.net.checksum_drops + sr.net.frag_drops +
-              sr.net.decode_drops),
-          sr.base.safety_ok ? "yes" : "NO", result.tps);
-      char sbuf[1024];
+          "  socket: frames=%llu/%llu gaps=%llu drops=%llu\n",
+          static_cast<unsigned long long>(c.frames_sent),
+          static_cast<unsigned long long>(c.frames_received),
+          static_cast<unsigned long long>(c.seq_gaps),
+          static_cast<unsigned long long>(c.header_drops + c.length_drops +
+                                          c.checksum_drops + c.frag_drops +
+                                          c.decode_drops));
+      char nbuf[640];
       std::snprintf(
-          sbuf, sizeof(sbuf),
-          "  \"socket\": {\n"
-          "    \"protocol\": \"prestigebft\",\n"
-          "    \"duration_seconds\": %.3f,\n"
-          "    \"committed\": %lld,\n"
-          "    \"throughput_tps\": %.1f,\n"
-          "    \"p50_latency_ms\": %.4f,\n"
-          "    \"p99_latency_ms\": %.4f,\n"
-          "    \"mean_latency_ms\": %.4f,\n"
-          "    \"view_changes\": %lld,\n"
-          "    \"replies\": %lld,\n"
-          "    \"duplicate_suppressed\": %lld,\n"
-          "    \"result_mismatches\": %lld,\n"
-          "    \"executed\": %lld,\n"
-          "    \"messages_delivered\": %llu,\n"
-          "    \"min_height\": %lld,\n"
-          "    \"max_height\": %lld,\n"
-          "    \"safe\": %s,\n"
+          nbuf, sizeof(nbuf),
           "    \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
           "      \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
           "      \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
           "      \"checksum_drops\": %llu, \"length_drops\": %llu,\n"
           "      \"frag_drops\": %llu, \"decode_drops\": %llu,\n"
-          "      \"send_errors\": %llu, \"unserializable_drops\": %llu}\n"
-          "  },\n",
-          sr.base.duration_seconds, static_cast<long long>(sr.base.committed),
-          sr.base.tps, sr.base.p50_ms, sr.base.p99_ms, sr.base.mean_ms,
-          static_cast<long long>(sr.base.view_changes),
-          static_cast<long long>(sr.base.replies),
-          static_cast<long long>(sr.base.duplicate_suppressed),
-          static_cast<long long>(sr.base.result_mismatches),
-          static_cast<long long>(sr.base.executed),
-          static_cast<unsigned long long>(sr.base.messages_delivered),
-          static_cast<long long>(sr.base.min_height),
-          static_cast<long long>(sr.base.max_height),
-          sr.base.safety_ok ? "true" : "false",
-          static_cast<unsigned long long>(sr.net.frames_sent),
-          static_cast<unsigned long long>(sr.net.frames_received),
-          static_cast<unsigned long long>(sr.net.messages_assembled),
-          static_cast<unsigned long long>(sr.net.seq_gaps),
-          static_cast<unsigned long long>(sr.net.seq_out_of_order),
-          static_cast<unsigned long long>(sr.net.header_drops),
-          static_cast<unsigned long long>(sr.net.checksum_drops),
-          static_cast<unsigned long long>(sr.net.length_drops),
-          static_cast<unsigned long long>(sr.net.frag_drops),
-          static_cast<unsigned long long>(sr.net.decode_drops),
-          static_cast<unsigned long long>(sr.net.send_errors),
-          static_cast<unsigned long long>(sr.net.unserializable_drops));
-      result.extra_json += sbuf;
+          "      \"send_errors\": %llu, \"unserializable_drops\": %llu}",
+          static_cast<unsigned long long>(c.frames_sent),
+          static_cast<unsigned long long>(c.frames_received),
+          static_cast<unsigned long long>(c.messages_assembled),
+          static_cast<unsigned long long>(c.seq_gaps),
+          static_cast<unsigned long long>(c.seq_out_of_order),
+          static_cast<unsigned long long>(c.header_drops),
+          static_cast<unsigned long long>(c.checksum_drops),
+          static_cast<unsigned long long>(c.length_drops),
+          static_cast<unsigned long long>(c.frag_drops),
+          static_cast<unsigned long long>(c.decode_drops),
+          static_cast<unsigned long long>(c.send_errors),
+          static_cast<unsigned long long>(c.unserializable_drops));
+      result.extra_json += BackendBlockJson("socket", sr, nbuf);
     }
   }
   return result;
@@ -732,71 +716,9 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
 /// sweep — the schedule is a pure function of the seed — so the per-seed
 /// JSON blocks are byte-identical for any --jobs value.
 ScenarioResult RunByzantineFuzz() {
-  const uint32_t seeds = g_sweep_seeds;
-  const uint64_t base_seed = g_sweep_base_seed;
-  const uint32_t jobs = g_jobs == 0 ? DefaultJobs() : g_jobs;
-  return Instrumented([&](ScenarioResult& r) {
-    const harness::ScenarioSpec first = harness::ByzantineFuzzSpec(base_seed);
-    r.n = first.n;
-
-    const auto prestige = harness::RunScenarioSweepGen<
-        core::PrestigeReplica, core::PrestigeConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        PaperPrestigeConfig(first.n, 500), ScenarioWorkload(0), base_seed,
-        seeds, jobs);
-    const auto hotstuff = harness::RunScenarioSweepGen<
-        baselines::hotstuff::HotStuffReplica,
-        baselines::hotstuff::HotStuffConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        PaperHotStuffConfig(first.n, 500), ScenarioWorkload(0), base_seed,
-        seeds, jobs);
-    baselines::sbft::SbftConfig sbft_config;
-    sbft_config.n = first.n;
-    sbft_config.batch_size = 500;
-    const auto sbft = harness::RunScenarioSweepGen<
-        baselines::sbft::SbftReplica, baselines::sbft::SbftConfig>(
-        [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
-        sbft_config, ScenarioWorkload(0), base_seed, seeds, jobs);
-
-    r.committed = prestige.committed_total;
-    r.tps = prestige.tps_mean;
-    r.p50_ms = prestige.p50_ms_mean;
-    r.p99_ms = prestige.p99_ms_mean;
-    r.view_changes = prestige.view_changes_total;
-    r.elections_won = prestige.elections_won_total;
-    r.replies = prestige.replies_total;
-    r.duplicate_suppressed = prestige.duplicate_suppressed_total;
-    r.result_mismatches = prestige.result_mismatches_total;
-    r.safe = prestige.all_safe && hotstuff.all_safe && sbft.all_safe;
-    r.sha256_hashes = prestige.hashes_total + hotstuff.hashes_total +
-                      sbft.hashes_total;
-    r.events = prestige.events_total + hotstuff.events_total +
-               sbft.events_total;
-
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"seeds\": %u,\n  \"base_seed\": %llu,\n"
-                  "  \"jobs\": %u,\n"
-                  "  \"all_safe\": %s,\n  \"protocols\": [\n",
-                  seeds, static_cast<unsigned long long>(base_seed), jobs,
-                  r.safe ? "true" : "false");
-    r.extra_json = buf;
-    r.extra_json += ProtocolJson("prestigebft", prestige) + ",\n";
-    r.extra_json += ProtocolJson("hotstuff", hotstuff) + ",\n";
-    r.extra_json += ProtocolJson("sbft", sbft) + "\n  ],\n";
-
-    for (const auto* agg : {&prestige, &hotstuff, &sbft}) {
-      for (const auto& seed : agg->seeds) {
-        if (!seed.safety_ok) {
-          std::fprintf(stderr,
-                       "bench_runner: SAFETY VIOLATION byzantine-fuzz "
-                       "seed %llu: %s\n",
-                       static_cast<unsigned long long>(seed.seed),
-                       seed.violation.c_str());
-        }
-      }
-    }
-  });
+  return SweepAllProtocols(
+      [](uint64_t seed) { return harness::ByzantineFuzzSpec(seed); },
+      "byzantine-fuzz");
 }
 
 struct Scenario {

@@ -1,10 +1,15 @@
-// Executes a ScenarioSpec on any Cluster<Replica, Config>.
+// Executes a ScenarioSpec on a Cluster (cluster.h).
 //
-// The runner walks the spec's phases in virtual time: at each phase start
-// it applies the phase's partition / link faults / crashes / load settings,
-// runs the cluster for the phase's duration, then sweeps the cross-replica
-// safety invariants (invariants.h). A seed sweep repeats the whole run for
-// N consecutive seeds and aggregates the per-seed results.
+// RunScenarioSeed walks the spec's phases in virtual time: at each phase
+// start it applies the phase's partition / link faults / crashes / load
+// settings, runs the cluster for the phase's duration, then sweeps the
+// cross-replica safety invariants (invariants.h). A seed sweep repeats the
+// whole run for N consecutive seeds and aggregates the per-seed results.
+//
+// RunScenarioOnBackend runs a fault-free spec (ThreadedCapable) on any
+// backend — simulated, threaded, or socket — for the spec's scripted
+// duration, then sweeps the same invariants. On the wall-clock backends it
+// measures what the implementation actually sustains on the host.
 //
 // Everything virtual-time here is deterministic: the same (spec, config,
 // workload.seed) triple reproduces byte-identical ScenarioSeedResults —
@@ -279,10 +284,8 @@ ScenarioSeedResult RunScenarioSeed(const ScenarioSpec& spec, Config config,
                    1, spec.TotalDuration()));
   result.p50_ms = cluster.LatencyPercentileMs(50);
   result.p99_ms = cluster.LatencyPercentileMs(99);
-  for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-    result.view_changes += cluster.replica(i).metrics().view_changes_started;
-    result.elections_won += cluster.replica(i).metrics().elections_won;
-  }
+  result.view_changes = cluster.ViewChanges();
+  result.elections_won = cluster.ElectionsWon();
   if (adversary_present) {
     for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
       const auto& m = cluster.replica(i).metrics();
@@ -414,6 +417,82 @@ ScenarioAggregate RunScenarioSweep(const ScenarioSpec& spec, Config config,
   return RunScenarioSweepGen<Replica, Config>(
       [&spec](uint64_t) { return spec; }, config, workload, base_seed,
       num_seeds, jobs);
+}
+
+/// Metrics of one fault-free run on any backend. On the wall-clock
+/// backends every quantity is scheduler-dependent: reruns differ.
+struct BackendRunResult {
+  bool ran = false;   ///< False when refused (see RunScenarioOnBackend).
+  std::string error;  ///< Why it did not run.
+  double duration_seconds = 0.0;  ///< Measurement window.
+  int64_t committed = 0;  ///< Client-observed committed transactions.
+  double tps = 0.0;       ///< committed / duration.
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double mean_ms = 0.0;
+  int64_t view_changes = 0;
+  int64_t elections_won = 0;
+  int64_t replies = 0;               ///< Client-matched reply entries.
+  int64_t duplicate_suppressed = 0;  ///< Session-table dedup hits.
+  int64_t result_mismatches = 0;     ///< Conflicting result digests seen.
+  int64_t executed = 0;              ///< Exactly-once service executions.
+  BackendCounters counters;  ///< The backend's own counters.
+  bool safety_ok = true;
+  std::string violation;
+  types::SeqNum min_height = 0;
+  types::SeqNum max_height = 0;
+};
+
+/// Runs `spec`'s workload on a fresh Cluster on `Backend` for its scripted
+/// duration, stops it, and checks safety. config.n is overridden by the
+/// spec's cluster size. Refuses (ran = false) specs that need phase faults
+/// — only RunScenarioSeed applies those, in simulation — and deployments
+/// whose nodes could not all be hosted.
+template <typename Replica, typename Config, typename Backend>
+BackendRunResult RunScenarioOnBackend(const ScenarioSpec& spec, Config config,
+                                      WorkloadOptions workload) {
+  BackendRunResult result;
+  if (!ThreadedCapable(spec)) {
+    result.error = "scenario '" + spec.name +
+                   "' uses simulator-only faults (partitions / link faults / "
+                   "crashes / partial load / Byzantine cast); this runner "
+                   "executes fault-free workloads";
+    return result;
+  }
+
+  config.n = spec.n;
+  Cluster<Replica, Config, Backend> cluster(config, workload);
+  if (!cluster.ok()) {
+    result.error = cluster.error();
+    return result;
+  }
+  const util::DurationMicros duration = spec.TotalDuration();
+  cluster.Start();
+  cluster.RunFor(duration);
+  cluster.Stop();
+
+  result.ran = true;
+  result.duration_seconds = util::ToSeconds(duration);
+  result.committed = cluster.ClientCommitted();
+  result.tps =
+      static_cast<double>(result.committed) / result.duration_seconds;
+  result.p50_ms = cluster.LatencyPercentileMs(50);
+  result.p99_ms = cluster.LatencyPercentileMs(99);
+  result.mean_ms = cluster.MeanLatencyMs();
+  result.view_changes = cluster.ViewChanges();
+  result.elections_won = cluster.ElectionsWon();
+  result.replies = cluster.RepliesReceived();
+  result.duplicate_suppressed = cluster.DuplicatesSuppressed();
+  result.result_mismatches = cluster.ResultMismatches();
+  result.executed = cluster.ExecutedTotal();
+  result.counters = cluster.backend().counters();
+
+  const SafetyReport safety = CheckSafety(cluster);
+  result.safety_ok = safety.ok;
+  result.violation = safety.violation;
+  result.min_height = safety.min_height;
+  result.max_height = safety.max_height;
+  return result;
 }
 
 /// Canonical JSON rendering of one seed's deterministic metrics (wall_ms is

@@ -2,17 +2,18 @@
 //
 // This is the planet-scale measurement harness: G consensus groups on one
 // backend, driven by open-loop arrival traces (workload/open_loop_pool.h)
-// instead of scenario scripts. Two entry points share one result shape:
+// instead of scenario scripts. RunSharded takes the backend as a template
+// parameter:
 //
-//   RunShardedThreaded — wall-clock run on runtime::ThreadedRuntime; TPS
-//     and latency are what the host actually sustains, and aggregate
-//     committed throughput should rise with the group count on multicore
-//     hardware (groups never intercommunicate, so they scale like
-//     independent clusters sharing cores).
-//   RunShardedSim — the same deployment in virtual time on the
-//     deterministic simulator; numbers are modelled, runs are
-//     reproducible per seed, and tests use this to pin invariant and
-//     wiring behaviour without wall-clock flakiness.
+//   ThreadedBackend — wall-clock; TPS and latency are what the host
+//     actually sustains, and aggregate committed throughput should rise
+//     with the group count on multicore hardware (groups never
+//     intercommunicate, so they scale like independent clusters sharing
+//     cores).
+//   SimBackend (the default) — virtual time on the deterministic
+//     simulator; numbers are modelled, runs are reproducible per seed, and
+//     tests use this to pin invariant and wiring behaviour without
+//     wall-clock flakiness.
 //
 // After the run, CheckShardedSafety (invariants.h) sweeps per-group
 // committed-prefix/execution agreement, router consistency, and shard
@@ -29,7 +30,6 @@
 
 #include "harness/cluster.h"
 #include "harness/invariants.h"
-#include "harness/threaded_cluster.h"
 #include "shard/router.h"
 
 namespace prestige {
@@ -42,9 +42,10 @@ struct GroupRunStats {
   int64_t elections_won = 0;
 };
 
-/// Metrics of one sharded open-loop run (threaded: wall-clock and
-/// scheduler-dependent; sim: virtual-time and seed-deterministic).
+/// Metrics of one sharded open-loop run (wall-clock backends: scheduler-
+/// dependent; sim: virtual-time and seed-deterministic).
 struct ShardedRunResult {
+  std::string error;  ///< Non-empty when a node could not be hosted.
   double duration_seconds = 0.0;
   uint32_t groups = 1;
   int64_t committed = 0;  ///< Aggregate over all groups.
@@ -70,8 +71,6 @@ struct ShardedRunResult {
   int64_t replies = 0;
   int64_t result_mismatches = 0;
   int64_t executed = 0;
-  uint64_t messages_delivered = 0;  ///< Threaded backend only.
-  uint32_t workers = 0;             ///< Threaded backend only.
 
   std::vector<GroupRunStats> per_group;
 
@@ -82,13 +81,27 @@ struct ShardedRunResult {
   int64_t distinct_keys = 0;
 };
 
-/// Harvests metrics + safety from a finished sharded cluster (threaded
-/// after Stop(), sim after RunFor). Shared by both entry points.
-template <typename AnyCluster>
-ShardedRunResult CollectShardedRun(AnyCluster& cluster,
-                                   const WorkloadOptions& workload,
-                                   util::DurationMicros duration) {
+/// Per-replica application factory (nullptr keeps the default service).
+using ServiceFactory = std::function<std::unique_ptr<app::Service>()>;
+
+/// Sharded run: G groups of config.n replicas on `Backend`, open-loop
+/// load for `duration`, then the full safety sweep.
+template <typename Replica, typename Config, typename Backend = SimBackend>
+ShardedRunResult RunSharded(Config config, WorkloadOptions workload,
+                            util::DurationMicros duration,
+                            const ServiceFactory& services = {}) {
+  workload.open_loop = true;
+  Cluster<Replica, Config, Backend> cluster(config, workload);
   ShardedRunResult result;
+  if (!cluster.ok()) {
+    result.error = cluster.error();
+    return result;
+  }
+  if (services) cluster.InstallServices(services);
+  cluster.Start();
+  cluster.RunFor(duration);
+  cluster.Stop();
+
   result.duration_seconds = util::ToSeconds(duration);
   result.groups = cluster.num_groups();
   result.committed = cluster.ClientCommitted();
@@ -129,41 +142,6 @@ ShardedRunResult CollectShardedRun(AnyCluster& cluster,
   result.routed_txs = safety.routed_txs;
   result.distinct_keys = safety.distinct_keys;
   return result;
-}
-
-/// Per-replica application factory (nullptr keeps the default service).
-using ServiceFactory = std::function<std::unique_ptr<app::Service>()>;
-
-/// Wall-clock sharded run: G groups of config.n replicas, open-loop load,
-/// `duration` of real time, then the full safety sweep.
-template <typename Replica, typename Config>
-ShardedRunResult RunShardedThreaded(Config config, WorkloadOptions workload,
-                                    util::DurationMicros duration,
-                                    const ServiceFactory& services = {}) {
-  workload.open_loop = true;
-  ThreadedCluster<Replica, Config> cluster(config, workload);
-  if (services) cluster.InstallServices(services);
-  cluster.Start();
-  cluster.RunFor(duration);
-  cluster.Stop();
-  ShardedRunResult result = CollectShardedRun(cluster, workload, duration);
-  result.messages_delivered = cluster.runtime().messages_delivered();
-  result.workers = cluster.runtime().workers_per_node();
-  return result;
-}
-
-/// Virtual-time sharded run on the deterministic simulator: same wiring
-/// and checks, reproducible per seed (tests pin behaviour here).
-template <typename Replica, typename Config>
-ShardedRunResult RunShardedSim(Config config, WorkloadOptions workload,
-                               util::DurationMicros duration,
-                               const ServiceFactory& services = {}) {
-  workload.open_loop = true;
-  Cluster<Replica, Config> cluster(config, workload);
-  if (services) cluster.InstallServices(services);
-  cluster.Start();
-  cluster.RunFor(duration);
-  return CollectShardedRun(cluster, workload, duration);
 }
 
 }  // namespace harness

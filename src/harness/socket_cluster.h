@@ -1,35 +1,25 @@
-// SocketCluster: wires n replicas + closed-loop client pools onto the
-// socket runtime inside ONE process — every node gets its own loopback UDP
-// socket and event-loop thread, and all traffic crosses the kernel.
+// SocketBackend: the Cluster backend (cluster.h) that hosts every node on
+// the socket runtime inside ONE process — each node gets its own loopback
+// UDP socket and event-loop thread, and all traffic crosses the kernel
+// through the net/ framing and wire codec.
 //
 // This is the in-process twin of the multi-process deployment that
-// prestige_node / prestige_cluster build: same runtime backend, same
-// framing, same wire codec, same per-(seed, id) RNG derivation — only the
-// process boundary differs. It exists so tests and bench_runner can
-// exercise the socket transport without fork/exec, and so the cross-backend
-// equivalence suite can sweep identical invariants over sim, threaded, and
-// socket runs.
-//
-// Genericity contract matches ThreadedCluster (single-group, closed-loop):
-// any Replica with
-//   Replica(Config, ReplicaId, const KeyStore*, FaultSpec)
-//   SetTopology(replica_node_ids, client_node_ids)
-//   store() / metrics() / fault() / delivery()
-// works. Node-id layout mirrors the other backends: replicas 0..n-1, then
-// pools n..n+pools-1. After Stop() returns, reading replica stores,
-// metrics, and pool histograms from the caller's thread is race-free.
+// prestige_node / prestige_cluster build: same runtime, same framing, same
+// per-(seed, id) RNG derivation — only the process boundary differs. It
+// lets tests and bench_runner exercise the socket transport without
+// fork/exec, and the cross-backend equivalence suite sweep identical
+// invariants over sim, threaded, and socket runs:
+//   Cluster<Replica, Config, SocketBackend> cluster(config, workload);
+// Node ids follow registration order like the other backends (replicas
+// group-major, then pools group-major).
 
 #ifndef PRESTIGE_HARNESS_SOCKET_CLUSTER_H_
 #define PRESTIGE_HARNESS_SOCKET_CLUSTER_H_
 
-#include <cassert>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "crypto/keys.h"
 #include "harness/cluster.h"
 #include "runtime/socket_env.h"
 
@@ -44,146 +34,41 @@ inline net::SockAddr LoopbackAny() {
   return addr;
 }
 
-/// A complete single-process socket deployment of one protocol. Reuses
-/// WorkloadOptions; sim-only fields (latency, cost) and the sharding /
-/// open-loop knobs are ignored — this backend runs single-group
-/// closed-loop workloads (what ThreadedCapable admits).
-template <typename Replica, typename Config>
-class SocketCluster {
+/// Real loopback UDP: one socket and one event-loop thread per node.
+class SocketBackend {
  public:
-  SocketCluster(Config protocol, WorkloadOptions workload,
-                std::vector<types::FaultSpec> faults = {})
-      : protocol_(protocol),
-        workload_(workload),
-        runtime_(workload.seed),
-        keys_(workload.seed ^ 0xc0ffee) {
-    faults.resize(protocol_.n, types::FaultSpec::Honest());
+  explicit SocketBackend(const WorkloadOptions& workload)
+      : runtime_(workload.seed) {}
 
-    std::vector<runtime::NodeId> replica_ids;
-    std::vector<runtime::NodeId> pool_ids;
-    std::string error;
-    for (uint32_t i = 0; i < protocol_.n; ++i) {
-      replicas_.push_back(
-          std::make_unique<Replica>(protocol_, i, &keys_, faults[i]));
-      const bool ok =
-          runtime_.AddNode(replicas_.back().get(), i, LoopbackAny(), &error);
-      assert(ok && "loopback bind failed");
-      (void)ok;
-      replica_ids.push_back(i);
+  /// Binds `node` to its own loopback socket under the next id. A failed
+  /// bind (out of descriptors, say) leaves the node unhosted and says why
+  /// in `error`.
+  runtime::NodeId Add(runtime::Node* node, std::string* error) {
+    const runtime::NodeId id = next_id_++;
+    std::string why;
+    if (!runtime_.AddNode(node, id, LoopbackAny(), &why)) {
+      *error = "socket bind failed: " + why;
     }
-    for (uint32_t p = 0; p < workload_.num_pools; ++p) {
-      workload::ClientPoolConfig pool_config;
-      pool_config.pool_id = p;
-      pool_config.num_clients = workload_.clients_per_pool;
-      pool_config.payload_size = workload_.payload_size;
-      pool_config.f = protocol_.f();
-      pool_config.request_timeout = workload_.client_timeout;
-      pool_config.command_kind = workload_.command_kind;
-      pool_config.kv_key_space = workload_.kv_key_space;
-      pools_.push_back(std::make_unique<workload::ClientPool>(pool_config));
-      const runtime::NodeId id = protocol_.n + p;
-      const bool ok =
-          runtime_.AddNode(pools_.back().get(), id, LoopbackAny(), &error);
-      assert(ok && "loopback bind failed");
-      (void)ok;
-      pool_ids.push_back(id);
-      pools_.back()->SetReplicas(replica_ids);
-    }
-    for (auto& replica : replicas_) {
-      replica->SetTopology(replica_ids, pool_ids);
-    }
+    return id;
   }
-
-  /// Joins the event loops before any node is destroyed (members destruct
-  /// in reverse declaration order; see ThreadedCluster::~ThreadedCluster).
-  ~SocketCluster() { runtime_.Stop(); }
-
   void Start() { runtime_.Start(); }
-
-  /// Lets the deployment run for `duration` of wall-clock time.
+  /// The node threads do the work; the caller just sleeps.
   void RunFor(util::DurationMicros duration) {
     std::this_thread::sleep_for(std::chrono::microseconds(duration));
   }
-
-  /// Stops every event loop and joins. Call before inspecting state.
+  /// Stops every event loop and joins. Idempotent.
   void Stop() { runtime_.Stop(); }
 
-  Replica& replica(uint32_t i) { return *replicas_[i]; }
-  const Replica& replica(uint32_t i) const { return *replicas_[i]; }
-  workload::ClientPool& pool(uint32_t p) { return *pools_[p]; }
-  uint32_t num_replicas() const {
-    return static_cast<uint32_t>(replicas_.size());
-  }
-  uint32_t num_pools() const { return static_cast<uint32_t>(pools_.size()); }
-  runtime::SocketRuntime& runtime() { return runtime_; }
-  const Config& protocol_config() const { return protocol_; }
-
-  /// Transactions committed, summed over all client pools (after Stop()).
-  int64_t ClientCommitted() const {
-    int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->committed();
-    return total;
-  }
-
-  /// Mean client latency in milliseconds across pools (after Stop()).
-  double MeanLatencyMs() {
-    double weighted = 0.0;
-    size_t count = 0;
-    for (auto& pool : pools_) {
-      weighted += pool->latencies().Mean() *
-                  static_cast<double>(pool->latencies().count());
-      count += pool->latencies().count();
-    }
-    return count == 0 ? 0.0 : weighted / static_cast<double>(count);
-  }
-
-  /// Latency percentile over the merged samples of every pool.
-  double LatencyPercentileMs(double p) {
-    util::Histogram merged;
-    for (auto& pool : pools_) merged.MergeFrom(pool->latencies());
-    return merged.Percentile(p);
-  }
-
-  /// Installs an application service on every replica. Call before
-  /// Start().
-  void InstallServices(
-      const std::function<std::unique_ptr<app::Service>()>& factory) {
-    for (auto& replica : replicas_) replica->SetService(factory());
-  }
-
-  // Client/execution metrics (after Stop(); see cluster.h counterparts).
-  int64_t RepliesReceived() const {
-    int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->stats().replies_received;
-    return total;
-  }
-  int64_t ResultMismatches() const {
-    int64_t total = 0;
-    for (const auto& pool : pools_) total += pool->stats().result_mismatches;
-    return total;
-  }
-  int64_t DuplicatesSuppressed() const {
-    int64_t total = 0;
-    for (const auto& replica : replicas_) {
-      total += replica->delivery().stats().duplicates_suppressed;
-    }
-    return total;
-  }
-  int64_t ExecutedTotal() const {
-    int64_t total = 0;
-    for (const auto& replica : replicas_) {
-      total += replica->delivery().stats().executed;
-    }
-    return total;
+  BackendCounters counters() const {
+    BackendCounters c;
+    c.messages_delivered = runtime_.messages_delivered();
+    c.net = runtime_.net_stats();
+    return c;
   }
 
  private:
-  Config protocol_;
-  WorkloadOptions workload_;
   runtime::SocketRuntime runtime_;
-  crypto::KeyStore keys_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::unique_ptr<workload::ClientPool>> pools_;
+  runtime::NodeId next_id_ = 0;
 };
 
 }  // namespace harness

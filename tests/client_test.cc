@@ -17,8 +17,8 @@
 #include "baselines/sbft/sbft_replica.h"
 #include "client/client.h"
 #include "core/replica.h"
+#include "harness/cluster.h"
 #include "harness/invariants.h"
-#include "harness/threaded_cluster.h"
 #include "runtime/sim_env.h"
 #include "runtime/threaded_env.h"
 #include "sim/actor.h"
@@ -391,7 +391,8 @@ void RunThreadedBaseline(Config config) {
   workload.num_pools = 2;
   workload.clients_per_pool = 20;
   workload.seed = 3;
-  harness::ThreadedCluster<Replica, Config> cluster(config, workload);
+  harness::Cluster<Replica, Config, harness::ThreadedBackend> cluster(
+      config, workload);
   cluster.Start();
   cluster.RunFor(Millis(800));
   cluster.Stop();

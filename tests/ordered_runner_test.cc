@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/replica.h"
+#include "harness/cluster.h"
 #include "harness/invariants.h"
-#include "harness/threaded_cluster.h"
 #include "runtime/ordered_runner.h"
 #include "runtime/threaded_env.h"
 
@@ -312,9 +312,10 @@ TEST(OrderedRunnerIntegrationTest, PrestigeBftCommitsWithWorkerPool) {
   workload.seed = 5;
   workload.workers_per_node = 2;
 
-  harness::ThreadedCluster<core::PrestigeReplica, core::PrestigeConfig>
+  harness::Cluster<core::PrestigeReplica, core::PrestigeConfig,
+                   harness::ThreadedBackend>
       cluster(config, workload);
-  EXPECT_EQ(cluster.runtime().workers_per_node(), 2u);
+  EXPECT_EQ(cluster.backend().counters().workers, 2u);
   cluster.Start();
   cluster.RunFor(Millis(700));
   cluster.Stop();

@@ -1,6 +1,7 @@
 // Tests for the sharding layer: shard::Router unit behaviour, the
 // multi-group harness wiring, the cross-group safety sweep, and the
-// sharded open-loop runner on the deterministic simulator.
+// sharded open-loop runner on the deterministic simulator and the
+// threaded runtime.
 
 #include <gtest/gtest.h>
 
@@ -140,7 +141,7 @@ WorkloadOptions ShardedWorkload(uint32_t groups, uint64_t seed = 1) {
 }
 
 TEST(ShardedClusterTest, EveryGroupCommitsAndSafetySweepPasses) {
-  const auto result = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto result = harness::RunSharded<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(/*groups=*/2), Seconds(2),
       [] { return std::make_unique<app::KvService>(4096); });
 
@@ -160,10 +161,26 @@ TEST(ShardedClusterTest, EveryGroupCommitsAndSafetySweepPasses) {
   EXPECT_EQ(result.result_mismatches, 0);
 }
 
+TEST(ShardedClusterTest, ThreadedShardedRunCountsOpenLoopReplies) {
+  // Replies and result mismatches must count open-loop pools: every
+  // sharded run is open-loop, so a count over closed-loop pools alone
+  // reads zero and a forged result would go unseen.
+  const auto result =
+      harness::RunSharded<PrestigeReplica, PrestigeConfig,
+                          harness::ThreadedBackend>(
+          SmallConfig(), ShardedWorkload(/*groups=*/2), Seconds(1),
+          [] { return std::make_unique<app::KvService>(4096); });
+
+  EXPECT_TRUE(result.safety_ok) << result.violation;
+  EXPECT_GT(result.committed, 0);
+  EXPECT_GT(result.replies, 0);
+  EXPECT_EQ(result.result_mismatches, 0);
+}
+
 TEST(ShardedClusterTest, ShardedSimRunIsDeterministicPerSeed) {
-  const auto a = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto a = harness::RunSharded<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(2, /*seed=*/9), Seconds(1));
-  const auto b = harness::RunShardedSim<PrestigeReplica, PrestigeConfig>(
+  const auto b = harness::RunSharded<PrestigeReplica, PrestigeConfig>(
       SmallConfig(), ShardedWorkload(2, /*seed=*/9), Seconds(1));
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.arrivals, b.arrivals);

@@ -6,6 +6,7 @@
 // safety sweep.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,8 +20,6 @@
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
 #include "harness/socket_cluster.h"
-#include "harness/socket_runner.h"
-#include "harness/threaded_runner.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -279,6 +278,14 @@ core::PrestigeConfig EquivalenceConfig() {
   return config;
 }
 
+/// The equivalence run on one backend: the only thing that varies.
+template <typename Backend>
+harness::BackendRunResult RunEquivalence(const harness::ScenarioSpec& spec) {
+  return harness::RunScenarioOnBackend<core::PrestigeReplica,
+                                       core::PrestigeConfig, Backend>(
+      spec, EquivalenceConfig(), EquivalenceWorkload());
+}
+
 TEST(CrossBackendTest, SameScenarioCommitsAndStaysSafeOnAllThreeBackends) {
   const harness::ScenarioSpec spec = EquivalenceSpec();
   ASSERT_TRUE(harness::ThreadedCapable(spec));
@@ -287,39 +294,48 @@ TEST(CrossBackendTest, SameScenarioCommitsAndStaysSafeOnAllThreeBackends) {
   // progress and none violates an invariant", not identical throughput.
   constexpr int64_t kCommittedFloor = 1000;
 
-  const harness::ScenarioSeedResult sim =
-      harness::RunScenarioSeed<core::PrestigeReplica, core::PrestigeConfig>(
-          spec, EquivalenceConfig(), EquivalenceWorkload());
-  EXPECT_TRUE(sim.safety_ok) << sim.violation;
-  EXPECT_GE(sim.committed, kCommittedFloor);
-
-  const harness::ThreadedRunResult threaded =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(
-          spec, EquivalenceConfig(), EquivalenceWorkload());
-  ASSERT_TRUE(threaded.ran) << threaded.error;
-  EXPECT_TRUE(threaded.safety_ok) << threaded.violation;
-  EXPECT_GE(threaded.committed, kCommittedFloor);
-
-  const harness::SocketRunResult socket =
-      harness::RunSocketScenario<core::PrestigeReplica, core::PrestigeConfig>(
-          spec, EquivalenceConfig(), EquivalenceWorkload());
-  ASSERT_TRUE(socket.base.ran) << socket.base.error;
-  EXPECT_TRUE(socket.base.safety_ok) << socket.base.violation;
-  EXPECT_GE(socket.base.committed, kCommittedFloor);
+  const harness::BackendRunResult runs[] = {
+      RunEquivalence<harness::SimBackend>(spec),
+      RunEquivalence<harness::ThreadedBackend>(spec),
+      RunEquivalence<harness::SocketBackend>(spec),
+  };
+  const char* const names[] = {"sim", "threaded", "socket"};
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(runs[i].ran) << names[i] << ": " << runs[i].error;
+    EXPECT_TRUE(runs[i].safety_ok) << names[i] << ": " << runs[i].violation;
+    EXPECT_GE(runs[i].committed, kCommittedFloor) << names[i];
+  }
   // The socket run really crossed the kernel: frames flowed and the
   // hardened receive path assembled them.
-  EXPECT_GT(socket.net.frames_sent, 0u);
-  EXPECT_GT(socket.net.messages_assembled, 0u);
+  const net::FrameCounters& net = runs[2].counters.net;
+  EXPECT_GT(net.frames_sent, 0u);
+  EXPECT_GT(net.messages_assembled, 0u);
 
   // The spec with a simulator-only fault must be refused, not misrun.
   harness::ScenarioSpec faulty = spec;
   faulty.phases[0].crash = {0};
-  const harness::SocketRunResult refused =
-      harness::RunSocketScenario<core::PrestigeReplica, core::PrestigeConfig>(
-          faulty, EquivalenceConfig(), EquivalenceWorkload());
-  EXPECT_FALSE(refused.base.ran);
-  EXPECT_FALSE(refused.base.error.empty());
+  const harness::BackendRunResult refused =
+      RunEquivalence<harness::SocketBackend>(faulty);
+  EXPECT_FALSE(refused.ran);
+  EXPECT_FALSE(refused.error.empty());
+}
+
+TEST(SocketClusterTest, BindFailureRefusesTheRun) {
+  // With no descriptors left, socket() fails for every node: the cluster
+  // must latch the error and the runner refuse to start, instead of
+  // running a deployment of unbound nodes.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
+  const harness::BackendRunResult result =
+      RunEquivalence<harness::SocketBackend>(EquivalenceSpec());
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_FALSE(result.ran);
+  EXPECT_FALSE(result.error.empty());
+  EXPECT_EQ(result.committed, 0);
 }
 
 }  // namespace

@@ -14,9 +14,9 @@
 
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "core/replica.h"
+#include "harness/cluster.h"
 #include "harness/invariants.h"
-#include "harness/threaded_cluster.h"
-#include "harness/threaded_runner.h"
+#include "harness/scenario_runner.h"
 #include "runtime/threaded_env.h"
 
 namespace prestige {
@@ -174,8 +174,9 @@ core::PrestigeConfig SmokeConfig() {
   return config;
 }
 
-TEST(ThreadedClusterTest, PrestigeBftCommitsUnderTrueConcurrency) {
-  harness::ThreadedCluster<core::PrestigeReplica, core::PrestigeConfig>
+TEST(ThreadedBackendClusterTest, PrestigeBftCommitsUnderTrueConcurrency) {
+  harness::Cluster<core::PrestigeReplica, core::PrestigeConfig,
+                   harness::ThreadedBackend>
       cluster(SmokeConfig(), SmokeWorkload());
   cluster.Start();
   cluster.RunFor(Millis(700));
@@ -189,14 +190,15 @@ TEST(ThreadedClusterTest, PrestigeBftCommitsUnderTrueConcurrency) {
   EXPECT_GT(cluster.replica(0).metrics().committed_txs, 0);
 }
 
-TEST(ThreadedClusterTest, HotStuffRunsOnTheSameRuntime) {
+TEST(ThreadedBackendClusterTest, HotStuffRunsOnTheSameRuntime) {
   baselines::hotstuff::HotStuffConfig config;
   config.n = 4;
   config.batch_size = 50;
   config.batch_wait = Millis(2);
   config.view_timeout = util::Seconds(2);
-  harness::ThreadedCluster<baselines::hotstuff::HotStuffReplica,
-                           baselines::hotstuff::HotStuffConfig>
+  harness::Cluster<baselines::hotstuff::HotStuffReplica,
+                   baselines::hotstuff::HotStuffConfig,
+                   harness::ThreadedBackend>
       cluster(config, SmokeWorkload());
   cluster.Start();
   cluster.RunFor(Millis(700));
@@ -215,10 +217,11 @@ TEST(ThreadedRunnerTest, SteadyStateScenarioRunsAndFaultyScenariosRefuse) {
   // Shrink the scripted durations so the smoke stays fast.
   harness::ScenarioSpec quick = *steady;
   for (harness::Phase& p : quick.phases) p.duration = Millis(300);
-  const harness::ThreadedRunResult result =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(quick, SmokeConfig(),
-                                                         SmokeWorkload());
+  const harness::BackendRunResult result =
+      harness::RunScenarioOnBackend<core::PrestigeReplica,
+                                    core::PrestigeConfig,
+                                    harness::ThreadedBackend>(
+          quick, SmokeConfig(), SmokeWorkload());
   EXPECT_TRUE(result.ran) << result.error;
   EXPECT_TRUE(result.safety_ok) << result.violation;
   EXPECT_GT(result.committed, 0);
@@ -228,10 +231,11 @@ TEST(ThreadedRunnerTest, SteadyStateScenarioRunsAndFaultyScenariosRefuse) {
   const harness::ScenarioSpec* churn = harness::FindScenario("churn");
   ASSERT_NE(churn, nullptr);
   EXPECT_FALSE(harness::ThreadedCapable(*churn));
-  const harness::ThreadedRunResult refused =
-      harness::RunThreadedScenario<core::PrestigeReplica,
-                                   core::PrestigeConfig>(*churn, SmokeConfig(),
-                                                         SmokeWorkload());
+  const harness::BackendRunResult refused =
+      harness::RunScenarioOnBackend<core::PrestigeReplica,
+                                    core::PrestigeConfig,
+                                    harness::ThreadedBackend>(
+          *churn, SmokeConfig(), SmokeWorkload());
   EXPECT_FALSE(refused.ran);
   EXPECT_FALSE(refused.error.empty());
 }
