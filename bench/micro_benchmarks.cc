@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): crypto substrate, reputation engine,
-// proof-of-work, and simulator hot paths. Not a paper figure — these bound
-// the constants the cost model abstracts.
+// proof-of-work, simulator hot paths, and block-body handling. Not a paper
+// figure — these bound the constants the cost model abstracts.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include "crypto/pow.h"
 #include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
+#include "ledger/tx_block.h"
 #include "reputation/reputation_engine.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -160,6 +161,46 @@ void BM_TransactionDigest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransactionDigest);
+
+/// A batch of `size` distinct synthetic transactions.
+std::vector<types::Transaction> SyntheticBatch(size_t size) {
+  std::vector<types::Transaction> txs(size);
+  for (size_t i = 0; i < size; ++i) {
+    txs[i].pool = static_cast<types::ClientPoolId>(i % 8);
+    txs[i].client_seq = i + 1;
+    txs[i].fingerprint = 0x9e3779b97f4a7c15ULL * (i + 1);
+  }
+  return txs;
+}
+
+/// Digest of one batch body (one SHA-256 per transaction plus the fold):
+/// what every replica pays per proposed block. Arg 2600 is the
+/// closed-saturate block size.
+void BM_BatchDigest(benchmark::State& state) {
+  const types::TxBatch txs =
+      SyntheticBatch(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(types::BatchDigest(txs));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BatchDigest)->Arg(2600);
+
+/// Copying a committed TxBlock, as the broadcast, commit and sync paths
+/// do: the batch body is shared, so the cost is the header, status vector
+/// and QCs, independent of how many transactions the body holds.
+void BM_TxBlockCopy(benchmark::State& state) {
+  ledger::TxBlock block;
+  block.set_n(7);
+  block.set_txs(SyntheticBatch(static_cast<size_t>(state.range(0))));
+  block.status.assign(block.BatchSize(), 1);
+  (void)block.Digest();
+  for (auto _ : state) {
+    ledger::TxBlock copy = block;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_TxBlockCopy)->Arg(2600);
 
 }  // namespace
 }  // namespace prestige

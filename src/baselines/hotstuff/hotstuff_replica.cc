@@ -221,7 +221,7 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
        inherited->second.Digest() != bound->second)) {
     return;
   }
-  std::vector<types::Transaction> batch;
+  types::TxBatch batch;
   if (inherited != pending_blocks_.end()) {
     batch = inherited->second.txs();
   } else {
@@ -232,14 +232,16 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
       }
       return;
     }
-    batch.reserve(std::min(pending_txs_.size(), config_.batch_size));
-    while (!pending_txs_.empty() && batch.size() < config_.batch_size) {
+    std::vector<types::Transaction> fresh;
+    fresh.reserve(std::min(pending_txs_.size(), config_.batch_size));
+    while (!pending_txs_.empty() && fresh.size() < config_.batch_size) {
       types::Transaction tx = pending_txs_.front();
       pending_txs_.pop_front();
       pending_keys_.erase(TxKey(tx));
       if (committed_tx_keys_.count(TxKey(tx)) > 0) continue;
-      batch.push_back(std::move(tx));
+      fresh.push_back(std::move(tx));
     }
+    batch = std::move(fresh);
   }
   if (batch.empty()) return;
 

@@ -29,7 +29,7 @@ struct OrdMsg : public runtime::NetMessage {
   types::View v = 0;
   types::SeqNum n = 0;
   crypto::Sha256Digest prev_hash{};
-  std::vector<types::Transaction> txs;
+  types::TxBatch txs;     ///< Shared with the leader's TxBlock; no copy.
   crypto::Signature sig;  ///< Leader signature over OrderingDigest.
 
   /// Stateless prologue results (PreVerify, threaded backend): the block

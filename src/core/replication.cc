@@ -117,7 +117,7 @@ void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
       block.v = ord->v;
       block.set_n(ord->n);
       block.set_prev_hash(ord->prev_hash);
-      std::vector<types::Transaction> txs = ord->txs;
+      std::vector<types::Transaction> txs = ord->txs.ToVector();
       for (types::Transaction& tx : txs) {
         tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
       }

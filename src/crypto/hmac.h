@@ -1,4 +1,4 @@
-// HMAC-SHA256 (RFC 2104), built on the from-scratch SHA-256.
+// HMAC-SHA256 (RFC 2104), built on crypto::Sha256.
 //
 // Backs the simulated signature scheme: in this reproduction a "signature"
 // is an HMAC over the canonical message digest under the signer's secret key

@@ -1,8 +1,13 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4) over OpenSSL libcrypto's compression function.
 //
 // Used for block digests, HMAC-SHA256 (simulated signatures), and the
 // view-change proof-of-work puzzle (§4.2.2 of the paper). Verified against
 // NIST known-answer test vectors in tests/crypto_test.cc.
+//
+// This class is the only way into the digest engine: libcrypto is linked
+// statically and <openssl/*> is included only by sha256.cc (enforced by the
+// prestige_lint `crypto-lib` rule), so every digest in the system passes
+// through Finish() and is credited to the active CryptoMeter.
 
 #ifndef PRESTIGE_CRYPTO_SHA256_H_
 #define PRESTIGE_CRYPTO_SHA256_H_
@@ -56,7 +61,7 @@ class Sha256 {
  public:
   Sha256() { Reset(); }
 
-  /// Restores the initial hash state.
+  /// Restores the initial hash state (also required after Finish()).
   void Reset();
 
   /// Absorbs `len` bytes.
@@ -89,12 +94,11 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
-  uint32_t state_[8];
-  uint64_t bit_count_;
-  uint8_t buffer_[64];
-  size_t buffer_len_;
+  /// Storage for libcrypto's SHA256_CTX, kept opaque so no OpenSSL header
+  /// leaks into includers; sha256.cc static_asserts that the context fits.
+  /// The context is plain data, so hashers stay trivially copyable.
+  static constexpr size_t kCtxBytes = 112;
+  alignas(8) unsigned char ctx_[kCtxBytes];
 };
 
 /// Lower-case hex rendering of a digest.

@@ -47,15 +47,18 @@ class TxBlock {
     cache_.Invalidate();
   }
 
-  const std::vector<types::Transaction>& txs() const { return txs_; }
-  void set_txs(std::vector<types::Transaction> txs) {
+  /// The batch body. Copying the block shares it (see types::TxBatch).
+  const types::TxBatch& txs() const { return txs_; }
+  void set_txs(types::TxBatch txs) {
     txs_ = std::move(txs);
     cache_.Invalidate();
   }
-  /// Moves the batch out (for re-proposal); the block is left empty.
+  /// Hands out a private, mutable copy of the batch and leaves this block
+  /// empty. Other holders of the shared body are unaffected.
   std::vector<types::Transaction> release_txs() {
-    cache_.Invalidate();
-    return std::move(txs_);
+    std::vector<types::Transaction> out = txs_.ToVector();
+    set_txs({});
+    return out;
   }
 
   /// Digest of the block body, i.e. the block's address. Memoized; valid
@@ -80,7 +83,7 @@ class TxBlock {
  private:
   types::SeqNum n_ = 0;
   crypto::Sha256Digest prev_hash_{};  ///< Address of the previous txBlock.
-  std::vector<types::Transaction> txs_;
+  types::TxBatch txs_;
   DigestCache cache_;
 };
 

@@ -81,7 +81,9 @@ types::Transaction GetTx(Reader& r) {
   return tx;
 }
 
-void PutTxVec(Writer& w, const std::vector<types::Transaction>& txs) {
+/// A transaction list: a client batch's vector or a block's TxBatch.
+template <typename Txs>
+void PutTxVec(Writer& w, const Txs& txs) {
   w.PutU32(static_cast<uint32_t>(txs.size()));
   for (const types::Transaction& tx : txs) PutTx(w, tx);
 }

@@ -122,22 +122,24 @@ util::TimeMicros SocketRuntime::Now() const {
 }
 
 net::FrameCounters SocketRuntime::node_net_stats(NodeId id) const {
-  net::FrameCounters total;
   NodeState* s = FindLocal(id);
-  if (s != nullptr) {
-    total.MergeFrom(s->send_counters);
-    total.MergeFrom(s->assembler->counters());
-  }
-  return total;
+  if (s == nullptr) return net::FrameCounters{};
+  std::lock_guard<std::mutex> lock(s->mu);
+  return s->published_counters;
 }
 
 net::FrameCounters SocketRuntime::net_stats() const {
   net::FrameCounters total;
   for (const auto& state : nodes_) {
-    total.MergeFrom(state->send_counters);
-    total.MergeFrom(state->assembler->counters());
+    std::lock_guard<std::mutex> lock(state->mu);
+    total.MergeFrom(state->published_counters);
   }
   return total;
+}
+
+void SocketRuntime::PublishCounters(NodeState* s) {
+  s->published_counters = s->send_counters;
+  s->published_counters.MergeFrom(s->assembler->counters());
 }
 
 SocketRuntime::NodeState* SocketRuntime::FindLocal(NodeId id) const {
@@ -220,15 +222,18 @@ void SocketRuntime::RunLoop(NodeState* s) {
     const int fds[2] = {s->socket.fd(), s->wake_read};
     bool readable[2] = {false, false};
     net::PollSockets(fds, readable, 2, timeout_ms);
-    if (s->stop.load(std::memory_order_relaxed)) return;
+    if (s->stop.load(std::memory_order_relaxed)) break;
 
     if (readable[1]) {
       while (::read(s->wake_read, drain, sizeof(drain)) > 0) {
       }
     }
     {
+      // One lock round per iteration serves both directions: take the
+      // mailbox, publish the counters of the previous round.
       std::lock_guard<std::mutex> lock(s->mu);
       local.swap(s->mailbox);
+      PublishCounters(s);
     }
     for (Inbound& in : local) {
       delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -256,6 +261,8 @@ void SocketRuntime::RunLoop(NodeState* s) {
       }
     }
   }
+  std::lock_guard<std::mutex> lock(s->mu);
+  PublishCounters(s);
 }
 
 // ------------------------------------------------------------------ NodeEnv

@@ -112,7 +112,9 @@ class SocketRuntime {
   }
 
   /// Frame-level counters of one local node (send + receive directions
-  /// merged). Call after Stop() for exact totals.
+  /// merged). Safe to call while the loops run: it reads a snapshot each
+  /// loop publishes once per iteration, so a mid-run value may lag by one
+  /// poll round. After Stop() the totals are exact.
   net::FrameCounters node_net_stats(NodeId id) const;
 
   /// Sum of node_net_stats over all local nodes.
@@ -149,10 +151,10 @@ class SocketRuntime {
     MessagePtr msg;
   };
 
-  /// Everything one local node's loop owns. The local mailbox is guarded
-  /// by `mu`; socket, frame writer, counters, and timer state are touched
-  /// only by the loop thread (Env calls are only legal from the owning
-  /// node's callbacks).
+  /// Everything one local node's loop owns. The local mailbox and the
+  /// published counter snapshot are guarded by `mu`; socket, frame writer,
+  /// live counters, and timer state are touched only by the loop thread
+  /// (Env calls are only legal from the owning node's callbacks).
   struct NodeState {
     ~NodeState();
 
@@ -174,6 +176,9 @@ class SocketRuntime {
     // guarded by mu).
     std::mutex mu;
     std::deque<Inbound> mailbox;
+    /// send_counters + assembler counters as of the loop's last
+    /// iteration (guarded by mu), for readers on other threads.
+    net::FrameCounters published_counters;
     std::atomic<bool> stop{false};
 
     // Timer service (loop-thread only).
@@ -189,6 +194,9 @@ class SocketRuntime {
   void SendFrom(NodeState* from, NodeId to, const MessagePtr& msg);
   void Wake(NodeState* state);
   void RunLoop(NodeState* state);
+  /// Copies the loop's live counters into published_counters. Runs on
+  /// the loop thread with `state->mu` held.
+  static void PublishCounters(NodeState* state);
   /// Fires every due timer of `state`; returns the next pending deadline
   /// or -1 when no timer is armed.
   util::TimeMicros FireDueTimers(NodeState* state);

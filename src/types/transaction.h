@@ -11,10 +11,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "types/codec.h"
 #include "types/ids.h"
+#include "util/page_allocator.h"
 #include "util/time.h"
 
 namespace prestige {
@@ -62,8 +65,53 @@ struct Transaction {
   }
 };
 
+/// An immutable, reference-counted batch body: the transaction list of one
+/// block, shared by every holder instead of deep-copied.
+///
+/// Ownership contract:
+///  * The transactions are frozen once wrapped. There is no mutating
+///    accessor; code that must change transactions (re-proposal, the
+///    equivocation and forged-reply adversaries) copies them out with
+///    ToVector(), edits the copy, and wraps a new TxBatch.
+///  * Copying a TxBatch is a refcount bump. Under the threaded runtime one
+///    body is read concurrently by every replica that holds the block;
+///    that is safe because nothing ever writes through it.
+///  * A TxBatch carries no digest. Each TxBlock memoizes its own digest
+///    (ledger::DigestCache), so a replica that builds a block from a
+///    received body hashes the transactions itself.
+///  * The body is stored at exact size in util::PageAllocator storage: the
+///    leader's loop thread allocates every body, and every replica's
+///    ledger may retain it, so it must not pin the leader's malloc arena.
+class TxBatch {
+ public:
+  using const_iterator = const Transaction*;
+
+  TxBatch() = default;
+  /// Freezes `txs` (implicit, so a freshly built vector can be assigned or
+  /// passed where a TxBatch is expected).
+  TxBatch(std::vector<Transaction> txs);  // NOLINT(google-explicit-constructor)
+  TxBatch(std::initializer_list<Transaction> txs)
+      : TxBatch(std::vector<Transaction>(txs)) {}
+
+  size_t size() const { return body_ ? body_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const_iterator begin() const { return body_ ? body_->data() : nullptr; }
+  const_iterator end() const { return begin() + size(); }
+  const Transaction& operator[](size_t i) const { return begin()[i]; }
+
+  /// A private, mutable copy of the transactions.
+  std::vector<Transaction> ToVector() const {
+    return std::vector<Transaction>(begin(), end());
+  }
+
+ private:
+  using Body = std::vector<Transaction, util::PageAllocator<Transaction>>;
+
+  std::shared_ptr<const Body> body_;
+};
+
 /// Digest covering an ordered list of transactions (a batch body).
-crypto::Sha256Digest BatchDigest(const std::vector<Transaction>& txs);
+crypto::Sha256Digest BatchDigest(const TxBatch& txs);
 
 }  // namespace types
 }  // namespace prestige

@@ -88,7 +88,7 @@ class ReplicaUnitTest : public ::testing::Test {
     tx.pool = 0;
     tx.client_seq = 100 + static_cast<uint64_t>(n);
     tx.fingerprint = 7 + salt;
-    ord->txs.push_back(tx);
+    ord->txs = std::vector<types::Transaction>{tx};
 
     ledger::TxBlock block;
     block.v = ord->v;

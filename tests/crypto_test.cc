@@ -1,9 +1,11 @@
-// Unit tests for src/crypto: SHA-256 (NIST KATs), HMAC-SHA256 (RFC 4231),
-// simulated PKI signatures, quorum certificates, and the PoW puzzle.
+// Unit tests for src/crypto: SHA-256 (NIST KATs, streaming equivalence),
+// hash accounting (CryptoMeter), HMAC-SHA256 (RFC 4231), simulated PKI
+// signatures, quorum certificates, and the PoW puzzle.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
@@ -73,6 +75,113 @@ TEST(Sha256Test, ResetRestoresInitialState) {
   h.Update(std::string("abc"));
   EXPECT_EQ(DigestToHex(h.Finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// Streaming equivalence: for every message length 0..200 and every split
+// point, two Update() calls produce the one-shot digest. The fold of all
+// 201 one-shot digests is pinned to the value the previous in-tree
+// SHA-256 implementation produced, so the digest engine can change
+// underneath without moving a single protocol digest.
+TEST(Sha256Test, EverySplitPointMatchesOneShot) {
+  std::vector<uint8_t> msg(200);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  Sha256 fold;
+  for (size_t len = 0; len <= msg.size(); ++len) {
+    const Sha256Digest one_shot = Sha256::Hash(msg.data(), len);
+    for (size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.Update(msg.data(), split);
+      h.Update(msg.data() + split, len - split);
+      ASSERT_EQ(h.Finish(), one_shot) << "len=" << len << " split=" << split;
+    }
+    fold.Update(one_shot.data(), one_shot.size());
+  }
+  EXPECT_EQ(DigestToHex(fold.Finish()),
+            "f9be27f65ce096e9153691cee0f5949b0e477b1afb72e8fa01644e3860e834c5");
+}
+
+TEST(Sha256Test, CopiedHasherContinuesIndependently) {
+  Sha256 a;
+  a.Update(std::string("ab"));
+  Sha256 b = a;
+  a.Update(std::string("c"));
+  b.Update(std::string("x"));
+  EXPECT_EQ(a.Finish(), Sha256::Hash(std::string("abc")));
+  EXPECT_EQ(b.Finish(), Sha256::Hash(std::string("abx")));
+}
+
+// ------------------------------------------------------------ CryptoMeter
+
+TEST(CryptoMeterTest, CountsExactlyOnePerFinish) {
+  CryptoMeter meter;
+  const uint64_t total_before = Sha256::TotalFinished();
+  {
+    ScopedCryptoMeter scope(&meter);
+    Sha256 h;
+    for (int i = 0; i < 100; ++i) h.Update(std::string(70, 'z'));
+    EXPECT_EQ(meter.finished, 0u);  // Updates are free.
+    (void)h.Finish();
+    EXPECT_EQ(meter.finished, 1u);
+    h.Reset();
+    EXPECT_EQ(meter.finished, 1u);  // So is Reset().
+    (void)h.Finish();               // Empty message still counts once.
+    (void)Sha256::Hash(std::string("abc"));
+    EXPECT_EQ(meter.finished, 3u);
+  }
+  (void)Sha256::Hash(std::string("uncredited"));
+  EXPECT_EQ(meter.finished, 3u);  // Scope ended: no longer credited.
+  EXPECT_EQ(Sha256::TotalFinished() - total_before, 4u);
+}
+
+TEST(CryptoMeterTest, OnlyInnermostMeterIsCredited) {
+  CryptoMeter outer, inner;
+  {
+    ScopedCryptoMeter o(&outer);
+    (void)Sha256::Hash(std::string("a"));
+    {
+      ScopedCryptoMeter i(&inner);
+      (void)Sha256::Hash(std::string("b"));
+      (void)Sha256::Hash(std::string("c"));
+    }
+    (void)Sha256::Hash(std::string("d"));
+  }
+  EXPECT_EQ(outer.finished, 2u);
+  EXPECT_EQ(inner.finished, 2u);
+}
+
+/// Hashes `fn` performs on this thread, as its own CryptoMeter sees them.
+template <typename Fn>
+uint64_t HashesOf(Fn&& fn) {
+  CryptoMeter meter;
+  ScopedCryptoMeter scope(&meter);
+  fn();
+  return meter.finished;
+}
+
+// Per-operation hash counts, pinned at the values of the previous in-tree
+// SHA-256. The simulator's per-seed results include the run's hash count,
+// so any change here is a determinism break, not a tuning knob.
+TEST(CryptoMeterTest, PerOperationCountsArePinned) {
+  constexpr uint64_t kHashesPerSign = 3;       // SecretKey + inner + outer.
+  constexpr uint64_t kHashesPerVerify = 3;
+  constexpr uint64_t kHashesPerHmacShortKey = 2;
+  constexpr uint64_t kHashesPerHmacLongKey = 3;  // Key > 64 B is hashed.
+  const KeyStore keys(42);
+  const Sha256Digest digest = Sha256::Hash(std::string("block"));
+  Signature sig;
+  EXPECT_EQ(HashesOf([&] { sig = keys.Sign(3, digest); }), kHashesPerSign);
+  EXPECT_EQ(HashesOf([&] { EXPECT_TRUE(keys.Verify(sig, digest)); }),
+            kHashesPerVerify);
+  const std::vector<uint8_t> msg(50, 0x01);
+  auto hmac_hashes = [&msg](size_t key_len) {
+    const std::vector<uint8_t> key(key_len, 0x0b);
+    return HashesOf([&] { (void)HmacSha256(key, msg); });
+  };
+  EXPECT_EQ(hmac_hashes(16), kHashesPerHmacShortKey);
+  EXPECT_EQ(hmac_hashes(64), kHashesPerHmacShortKey);
+  EXPECT_EQ(hmac_hashes(100), kHashesPerHmacLongKey);
 }
 
 TEST(Sha256Test, LeadingZeroBitsCount) {

@@ -1,9 +1,13 @@
-// Unit tests for the ledger substrate: blocks, chaining, block store, and
-// the KV application service (app::KvService).
+// Unit tests for the ledger substrate: blocks, chaining, shared batch
+// bodies (types::TxBatch), block store, and the KV application service
+// (app::KvService).
 
 #include <gtest/gtest.h>
 
 #include "app/kv_service.h"
+#include "core/replica.h"
+#include "crypto/sha256.h"
+#include "harness/cluster.h"
 #include "ledger/block_store.h"
 #include "ledger/tx_block.h"
 #include "ledger/vc_block.h"
@@ -56,13 +60,107 @@ TEST(TxBlockTest, DigestCoversContent) {
   TxBlock a = MakeTxBlock(1, 1, {});
   TxBlock b = a;
   EXPECT_EQ(a.Digest(), b.Digest());
-  std::vector<types::Transaction> txs = b.txs();
+  std::vector<types::Transaction> txs = b.txs().ToVector();
   txs[0].fingerprint ^= 1;
   b.set_txs(std::move(txs));
   EXPECT_NE(a.Digest(), b.Digest());
   b = a;
   b.set_n(2);
   EXPECT_NE(a.Digest(), b.Digest());
+}
+
+// ------------------------------------------------------ TxBatch ownership
+
+TEST(TxBatchTest, CopyingABlockSharesTheBody) {
+  const TxBlock a = MakeTxBlock(1, 1, {}, 5);
+  const TxBlock b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(b.txs().begin(), a.txs().begin());  // Same storage, no copy.
+  EXPECT_EQ(b.Digest(), a.Digest());
+
+  TxBlock rebuilt;  // A fresh block over the same body hashes it itself.
+  rebuilt.set_n(a.n());
+  rebuilt.set_prev_hash(a.prev_hash());
+  rebuilt.set_txs(a.txs());
+  EXPECT_EQ(rebuilt.txs().begin(), a.txs().begin());
+  crypto::CryptoMeter meter;
+  {
+    crypto::ScopedCryptoMeter scope(&meter);
+    EXPECT_EQ(rebuilt.Digest(), a.Digest());
+  }
+  // 5 transaction digests + the batch digest + the block digest.
+  EXPECT_EQ(meter.finished, 7u);
+}
+
+TEST(TxBatchTest, ReleaseTxsLeavesOtherHolderUntouched) {
+  TxBlock a = MakeTxBlock(1, 1, {}, 3);
+  const TxBlock b = a;
+  const crypto::Sha256Digest digest = b.Digest();
+  std::vector<types::Transaction> txs = a.release_txs();
+  ASSERT_EQ(txs.size(), 3u);
+  txs[0].fingerprint ^= 1;  // Mutate the released copy.
+  EXPECT_EQ(a.BatchSize(), 0u);
+  EXPECT_EQ(b.BatchSize(), 3u);
+  EXPECT_EQ(b.txs()[0], MakeTx(100));
+  EXPECT_EQ(b.Digest(), digest);
+  TxBlock fresh = MakeTxBlock(1, 1, {}, 3);  // Cold cache: recompute.
+  EXPECT_EQ(fresh.Digest(), digest);
+}
+
+TEST(TxBatchTest, SetTxsLeavesOtherHolderUntouched) {
+  TxBlock a = MakeTxBlock(1, 1, {}, 3);
+  const TxBlock b = a;
+  const crypto::Sha256Digest digest = b.Digest();
+  std::vector<types::Transaction> edited = a.txs().ToVector();
+  edited[1].fingerprint ^= 1;
+  a.set_txs(std::move(edited));
+  EXPECT_NE(a.txs().begin(), b.txs().begin());
+  EXPECT_NE(a.Digest(), digest);
+  EXPECT_EQ(b.txs()[1], MakeTx(101));
+  EXPECT_EQ(b.Digest(), digest);
+}
+
+TEST(TxBatchTest, EmptyBatchBehavesLikeEmptyVector) {
+  const types::TxBatch empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.begin(), empty.end());
+  for (const types::Transaction& tx : empty) ADD_FAILURE() << tx.client_seq;
+}
+
+// A 4-replica simulated deployment: every replica's committed block at a
+// height holds the one body the leader proposed, yet no hashing is
+// skipped — the run's hash count is pinned to the value measured before
+// bodies were shared (each follower still digests the proposal itself).
+TEST(TxBatchTest, SimReplicasShareCommittedBodiesWithoutSkippingHashes) {
+  crypto::CryptoMeter meter;
+  int64_t committed = 0;
+  {
+    crypto::ScopedCryptoMeter scope(&meter);
+    harness::WorkloadOptions w;
+    w.seed = 11;
+    w.num_pools = 4;
+    w.clients_per_pool = 50;
+    harness::Cluster<core::PrestigeReplica, core::PrestigeConfig> cluster(
+        core::PrestigeConfig(), w);
+    cluster.Start();
+    cluster.RunFor(util::Seconds(1));
+    committed = cluster.replica(0).metrics().committed_txs;
+
+    const auto& chain0 = cluster.replica(0).store().tx_chain();
+    ASSERT_GT(chain0.size(), 10u);
+    for (uint32_t r = 1; r < cluster.num_replicas(); ++r) {
+      const auto& chain = cluster.replica(r).store().tx_chain();
+      ASSERT_GT(chain.size(), 10u);
+      for (size_t h = 0; h < 10; ++h) {
+        ASSERT_EQ(chain[h].Digest(), chain0[h].Digest());
+        if (chain0[h].BatchSize() == 0) continue;
+        EXPECT_EQ(chain[h].txs().begin(), chain0[h].txs().begin())
+            << "replica " << r << " height " << chain[h].n();
+      }
+    }
+  }
+  EXPECT_EQ(committed, 16200);
+  EXPECT_EQ(meter.finished, 76674u);
 }
 
 TEST(TxBlockTest, DigestIgnoresQcs) {

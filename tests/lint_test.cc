@@ -507,6 +507,44 @@ TEST(SocketsTest, SuppressibleLikeEveryRule) {
   EXPECT_TRUE(RunLint(files, "sockets").empty());
 }
 
+// -------------------------------------------------------------- crypto-lib
+
+TEST(CryptoLibTest, OpensslOutsideCryptoFails) {
+  const std::vector<SourceFile> files = {
+      {"core/replica.cc",
+       "#include <openssl/sha.h>\n"
+       "#include <vector>\n"
+       "#include \"openssl/evp.h\"\n"},
+      {"types/transaction.cc", "#include <openssl/evp.h>\n"},
+  };
+  const auto findings = RunLint(files, "crypto-lib");
+  EXPECT_TRUE(HasFinding(findings, "crypto-lib", "core/replica.cc", 1));
+  EXPECT_TRUE(HasFinding(findings, "crypto-lib", "core/replica.cc", 3));
+  EXPECT_TRUE(HasFinding(findings, "crypto-lib", "types/transaction.cc", 1));
+  EXPECT_EQ(findings.size(), 3u);
+}
+
+TEST(CryptoLibTest, CryptoDirMayUseOpenssl) {
+  const std::vector<SourceFile> files = {
+      {"crypto/sha256.cc",
+       "#define OPENSSL_SUPPRESS_DEPRECATED\n"
+       "#include <openssl/sha.h>\n"},
+      {"ledger/tx_block.h",
+       "#include \"crypto/sha256.h\"\n"       // the sanctioned wrapper.
+       "// hashing via <openssl/sha.h> is discussed, not included\n"},
+  };
+  EXPECT_TRUE(RunLint(files, "crypto-lib").empty());
+}
+
+TEST(CryptoLibTest, SuppressibleLikeEveryRule) {
+  const std::vector<SourceFile> files = {
+      {"tools/bench_shim.cc",
+       "// lint:allow(crypto-lib: reference digest for a cross-check)\n"
+       "#include <openssl/sha.h>\n"},
+  };
+  EXPECT_TRUE(RunLint(files, "crypto-lib").empty());
+}
+
 // ------------------------------------------------------------- suppressions
 
 TEST(SuppressionTest, SameLineAllowSuppresses) {

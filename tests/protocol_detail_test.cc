@@ -91,12 +91,14 @@ TEST_F(ForkResolutionTest, UnwindDepthBounded) {
 
 TEST(MessageModelTest, OrdCarriesBatchBytes) {
   core::OrdMsg ord;
+  std::vector<types::Transaction> txs;
   for (int i = 0; i < 10; ++i) {
     types::Transaction tx;
     tx.payload_size = 32;
     tx.client_seq = static_cast<uint64_t>(i);
-    ord.txs.push_back(tx);
+    txs.push_back(tx);
   }
+  ord.txs = std::move(txs);
   // 10 * (32 + 72 header) payload + message header + signature.
   EXPECT_EQ(ord.WireSize(), 10 * (32 + 72) + core::kHeaderBytes + core::kSigBytes);
   EXPECT_EQ(ord.NumSigVerifies(), 1);

@@ -690,6 +690,27 @@ void RunSockets(LintCtx& ctx) {
   }
 }
 
+// ------------------------------------------------------------ crypto-lib
+
+/// OpenSSL headers are confined to src/crypto/. The digest engine behind
+/// crypto::Sha256 is libcrypto, but every digest must still go through
+/// Sha256::Finish(): that is where hashes are credited to the active
+/// CryptoMeter, and the simulator's hash counts (part of its per-seed
+/// results) would silently shift if some other layer called OpenSSL
+/// directly.
+void RunCryptoLib(LintCtx& ctx) {
+  for (const FileCtx& f : ctx.files) {
+    if (TopDir(f.file->path) == "crypto") continue;
+    for (const IncludeEdge& e : f.includes) {
+      if (e.target.compare(0, 8, "openssl/") != 0) continue;
+      ctx.Report(f, e.line, "crypto-lib",
+                 "#include <" + e.target +
+                     "> outside crypto/; hash through crypto::Sha256 so "
+                     "every digest is credited to the active CryptoMeter");
+    }
+  }
+}
+
 // ------------------------------------------------------------- adversary
 
 void RunAdversary(LintCtx& ctx) {
@@ -736,7 +757,7 @@ void RunAdversary(LintCtx& ctx) {
 const std::vector<std::string>& RuleNames() {
   static const std::vector<std::string> kRules = {
       "layering",  "determinism", "codec-tags", "timer-tag",
-      "adversary", "threading",   "sockets"};
+      "adversary", "threading",   "sockets",    "crypto-lib"};
   return kRules;
 }
 
@@ -765,6 +786,7 @@ std::vector<Finding> Lint(const std::vector<SourceFile>& files,
   if (enabled("adversary")) RunAdversary(ctx);
   if (enabled("threading")) RunThreading(ctx);
   if (enabled("sockets")) RunSockets(ctx);
+  if (enabled("crypto-lib")) RunCryptoLib(ctx);
 
   std::sort(ctx.findings.begin(), ctx.findings.end(),
             [](const Finding& a, const Finding& b) {

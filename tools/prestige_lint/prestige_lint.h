@@ -1,7 +1,7 @@
 // prestige_lint — project-invariant static checker for the PrestigeBFT tree.
 //
 // A deliberately small analysis: a comment/string-aware token scanner plus a
-// quoted-include graph walker, no libclang. It machine-checks the seven
+// quoted-include graph walker, no libclang. It machine-checks the eight
 // invariants that reviews have historically had to defend by hand:
 //
 //   layering     — nothing under core/, baselines/, client/, or app/ may
@@ -42,6 +42,11 @@
 //                  through the bounds-checked net:: wrappers (or
 //                  runtime::Env one level higher), so hostile bytes can
 //                  only enter through the hardened decode pipeline.
+//   crypto-lib   — OpenSSL headers (<openssl/*>) are confined to crypto/.
+//                  Everything else hashes through crypto::Sha256, whose
+//                  Finish() credits the active CryptoMeter; a direct
+//                  libcrypto call would bypass it and silently shift the
+//                  simulator's deterministic hash counts.
 //
 // Suppressions: a finding on line L is suppressed when a comment on L — or
 // on an immediately preceding comment-only line — contains
