@@ -2,7 +2,16 @@
 // legitimately cross a process boundary gets a byte-exact encoding, and the
 // decode path treats its input as hostile.
 //
-// Design rules:
+// Structure (wire.cc): each wire type's fields are listed once, in wire
+// order, in a schema `Fields(f, m)`. Two visitors walk it — Encode over a
+// Writer, Decode over a Reader — so the encoder and decoder cannot drift
+// apart. Hostile-input bounds (byte caps, list caps keyed by element type,
+// enum and range checks) are wrappers inside the schema: Encode writes
+// them, Decode enforces them. One (type, MsgKind) table drives both
+// dispatches: encode matches the exact dynamic type, decode the kind byte.
+// Adding a message means one Fields branch plus one table row.
+//
+// Decode rules:
 //   * bounds-checked reads only — a net::Reader carries an ok() flag that
 //     latches false on the first out-of-range read and poisons every
 //     subsequent accessor, so decoders never branch on uninitialised data;
@@ -64,9 +73,6 @@ class Writer {
   void PutBytes(const std::vector<uint8_t>& bytes) {
     PutU32(static_cast<uint32_t>(bytes.size()));
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-  }
-  void PutRaw(const uint8_t* data, size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
   }
 
   const std::vector<uint8_t>& data() const { return buf_; }
