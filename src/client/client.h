@@ -91,6 +91,7 @@ struct ClientStats {
 /// Internal marshal message for SubmitAsync/Call: carries the command (and
 /// its completion) from a foreign thread onto the owning event loop via a
 /// loopback self-send. Never leaves the local node.
+// lint:allow(wire-kinds: carries a closure; in-process marshalling only)
 struct SubmitRequestMsg : public runtime::NetMessage {
   std::vector<uint8_t> command;
   SubmitCallback done;

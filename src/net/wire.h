@@ -2,16 +2,11 @@
 // legitimately cross a process boundary gets a byte-exact encoding, and the
 // decode path treats its input as hostile.
 //
-// Structure (wire.cc): each wire type's fields are listed once, in wire
-// order, in a schema `Fields(f, m)`. Two visitors walk it — Encode over a
-// Writer, Decode over a Reader — so the encoder and decoder cannot drift
-// apart. Hostile-input bounds (byte caps, list caps keyed by element type,
-// enum and range checks) are wrappers inside the schema: Encode writes
-// them, Decode enforces them. One (type, MsgKind) table drives both
-// dispatches: encode matches the exact dynamic type, decode the kind byte.
-// Adding a message means one Fields branch plus one table row.
-//
-// Decode rules:
+// wire.cc lists each wire type's fields once, in wire order, in the schema
+// `Fields(f, m)`; an Encode visitor (over Writer) and a Decode visitor (over
+// Reader) walk that one list, and one (type, MsgKind) table drives both
+// dispatches. Hostile-input bounds are typed wrappers inside the schema.
+// Adding a message means one Fields branch plus one table row. Rules:
 //   * bounds-checked reads only — a net::Reader carries an ok() flag that
 //     latches false on the first out-of-range read and poisons every
 //     subsequent accessor, so decoders never branch on uninitialised data;

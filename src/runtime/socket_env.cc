@@ -153,37 +153,45 @@ void SocketRuntime::Wake(NodeState* s) {
   (void)!::write(s->wake_write, &byte, 1);
 }
 
-void SocketRuntime::SendFrom(NodeState* from, NodeId to,
-                             const MessagePtr& msg) {
+void SocketRuntime::SendFrom(NodeState* from, const NodeId* targets,
+                             size_t count, const MessagePtr& msg) {
   std::vector<uint8_t> payload;
-  if (!net::EncodeMessage(*msg, &payload)) {
-    // No wire form: deliverable only within this process.
-    NodeState* target = FindLocal(to);
-    if (target == nullptr) {
-      ++from->send_counters.unserializable_drops;
-      return;
+  const bool encoded = net::EncodeMessage(*msg, &payload);
+  for (size_t i = 0; i < count; ++i) {
+    const NodeId to = targets[i];
+    if (!encoded) {
+      // No wire form: deliverable only within this process.
+      NodeState* target = FindLocal(to);
+      if (target == nullptr) {
+        ++from->send_counters.unserializable_drops;
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(target->mu);
+        target->mailbox.push_back(Inbound{from->id, msg});
+      }
+      Wake(target);
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(target->mu);
-      target->mailbox.push_back(Inbound{from->id, msg});
-    }
-    Wake(target);
-    return;
-  }
-  const auto peer = peers_.find(to);
-  if (peer == peers_.end()) {
-    ++from->send_counters.send_errors;
-    return;
-  }
-  // Every copy — self-sends and co-hosted destinations included — goes
-  // through the kernel, so one process per node and n nodes per process
-  // exercise the identical transport path.
-  for (const std::vector<uint8_t>& frame : from->writer->Split(to, payload)) {
-    if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
-      ++from->send_counters.frames_sent;
-      from->send_counters.bytes_sent += frame.size();
-    } else {
+    const auto peer = peers_.find(to);
+    std::vector<std::vector<uint8_t>> frames;
+    if (peer != peers_.end()) frames = from->writer->Split(to, payload);
+    if (frames.empty()) {
+      // Unknown peer, or a payload over net::kMaxMessageBytes (Split
+      // refuses it): nothing is sent.
       ++from->send_counters.send_errors;
+      continue;
+    }
+    // Every copy — self-sends and co-hosted destinations included — goes
+    // through the kernel, so one process per node and n nodes per process
+    // exercise the identical transport path.
+    for (const std::vector<uint8_t>& frame : frames) {
+      if (from->socket.SendTo(peer->second, frame.data(), frame.size())) {
+        ++from->send_counters.frames_sent;
+        from->send_counters.bytes_sent += frame.size();
+      } else {
+        ++from->send_counters.send_errors;
+      }
     }
   }
 }
@@ -268,14 +276,12 @@ void SocketRuntime::RunLoop(NodeState* s) {
 // ------------------------------------------------------------------ NodeEnv
 
 void SocketRuntime::NodeEnv::Send(NodeId to, MessagePtr msg) {
-  runtime_->SendFrom(state_, to, msg);
+  runtime_->SendFrom(state_, &to, 1, msg);
 }
 
 void SocketRuntime::NodeEnv::Send(const std::vector<NodeId>& targets,
                                   MessagePtr msg) {
-  for (NodeId to : targets) {
-    runtime_->SendFrom(state_, to, msg);
-  }
+  runtime_->SendFrom(state_, targets.data(), targets.size(), msg);
 }
 
 TimerId SocketRuntime::NodeEnv::SetTimer(util::DurationMicros delay,

@@ -189,9 +189,11 @@ class SocketRuntime {
     std::thread thread;
   };
 
-  /// Serializes + frames + transmits, or falls back to the local mailbox
-  /// for unserializable payloads. Runs on `from`'s loop thread.
-  void SendFrom(NodeState* from, NodeId to, const MessagePtr& msg);
+  /// Serializes once, then frames + transmits to each of the `count`
+  /// targets, or falls back to the local mailbox for unserializable
+  /// payloads. Runs on `from`'s loop thread.
+  void SendFrom(NodeState* from, const NodeId* targets, size_t count,
+                const MessagePtr& msg);
   void Wake(NodeState* state);
   void RunLoop(NodeState* state);
   /// Copies the loop's live counters into published_counters. Runs on

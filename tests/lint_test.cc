@@ -545,6 +545,59 @@ TEST(CryptoLibTest, SuppressibleLikeEveryRule) {
   EXPECT_TRUE(RunLint(files, "crypto-lib").empty());
 }
 
+// -------------------------------------------------------------- wire-kinds
+
+// A kind table in the shape of net/wire.cc's.
+const SourceFile kWireTable = {
+    "net/wire.cc",
+    "template <class M, MsgKind K>\n"
+    "struct Row {};\n"
+    "using Kinds = KindTable<\n"
+    "    Row<core::OrdMsg, MsgKind::kOrd>,\n"
+    "    Row<types::ClientBatch, MsgKind::kClientBatch>>;\n"};
+
+TEST(WireKindsTest, MessagesInTheKindTablePass) {
+  const std::vector<SourceFile> files = {
+      kWireTable,
+      {"core/messages.h",
+       "struct OrdMsg : public runtime::NetMessage {\n"
+       "  struct Verified { bool ok; };\n"
+       "  enum class Kind : uint8_t { kA };\n"
+       "};\n"
+       "struct Helper;\n"
+       "class Other : public Base {};\n"},
+      {"types/client_messages.h",
+       "struct ClientBatch final : ::prestige::runtime::NetMessage {};\n"},
+  };
+  EXPECT_TRUE(RunLint(files, "wire-kinds").empty());
+}
+
+TEST(WireKindsTest, MessageMissingFromTheKindTableFails) {
+  const std::vector<SourceFile> files = {
+      kWireTable,
+      {"core/messages.h",
+       "struct OrdMsg : public runtime::NetMessage {};\n"
+       "// Forgot its row.\n"
+       "struct NewMsg : public runtime::NetMessage {};\n"},
+      {"baselines/x/x.h", "class XMsg : public Base, public NetMessage {};\n"},
+  };
+  const auto findings = RunLint(files, "wire-kinds");
+  EXPECT_TRUE(HasFinding(findings, "wire-kinds", "core/messages.h", 3));
+  EXPECT_TRUE(HasFinding(findings, "wire-kinds", "baselines/x/x.h", 1));
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_NE(findings[0].message.find("XMsg"), std::string::npos);
+}
+
+TEST(WireKindsTest, SuppressibleWithAReason) {
+  const std::vector<SourceFile> files = {
+      kWireTable,
+      {"client/client.h",
+       "// lint:allow(wire-kinds: carries a closure)\n"
+       "struct SubmitRequestMsg : public runtime::NetMessage {};\n"},
+  };
+  EXPECT_TRUE(RunLint(files, "wire-kinds").empty());
+}
+
 // ------------------------------------------------------------- suppressions
 
 TEST(SuppressionTest, SameLineAllowSuppresses) {

@@ -8,9 +8,15 @@
 //   * net::FrameWriter / net::FrameAssembler — datagram framing with
 //     fragmentation, per-(src,dst) sequence tracking, and counted drops.
 //
-// The roundtrip strategy avoids per-field comparisons: decode(encode(m))
-// must re-encode to the identical byte string, which proves full fidelity
-// for every field the codec carries.
+// SampleMessages() holds one message of each of the 29 wire kinds (plus an
+// over-cap NoiseMsg), so every codec test below covers every kind. The
+// roundtrip strategy avoids per-field comparisons: decode(encode(m)) must
+// re-encode to the identical byte string, which proves full fidelity for
+// every field the codec carries. GoldenBytesAndVerdicts pins the wire
+// format itself: per sample, the SHA-256 of its encoding and of the
+// decoder's accept/reject verdicts over every strict prefix and every
+// single-byte corruption (with the re-encoding of whatever was accepted).
+// A change to any byte, field order, width or hostile-input bound fails it.
 
 #include <cstring>
 #include <iterator>

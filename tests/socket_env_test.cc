@@ -24,6 +24,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/socket_env.h"
+#include "types/client_messages.h"
 
 namespace prestige {
 namespace runtime {
@@ -191,6 +192,50 @@ TEST(SocketRuntimeTest, DuplicateIdAndUnknownPeerAreHandled) {
   EXPECT_FALSE(error.empty());
   EXPECT_TRUE(runtime.local_addr(3).valid());
   EXPECT_FALSE(runtime.local_addr(99).valid());
+}
+
+/// Sends one ClientBatch whose encoding (33 × 1 MiB commands) exceeds
+/// net::kMaxMessageBytes, then raises `sent`.
+class OversizeSenderNode : public Node {
+ public:
+  explicit OversizeSenderNode(NodeId peer) : peer_(peer) {}
+  void OnStart() override {
+    auto batch = std::make_shared<types::ClientBatch>();
+    types::Transaction tx;
+    tx.command.assign(net::kMaxWireCommand, 0x5a);
+    for (uint64_t seq = 0; seq < 33; ++seq) {
+      tx.client_seq = seq;
+      batch->txs.push_back(tx);
+    }
+    Send(peer_, batch);
+    sent_.store(true, std::memory_order_release);
+  }
+  void OnMessage(NodeId, const MessagePtr&) override {}
+  bool sent() const { return sent_.load(std::memory_order_acquire); }
+
+ private:
+  NodeId peer_;
+  std::atomic<bool> sent_{false};
+};
+
+TEST(SocketRuntimeTest, OversizeSendIsCountedAsSendError) {
+  SocketRuntime runtime(1);
+  UdpPongNode sink(1);
+  OversizeSenderNode sender(/*peer=*/0);
+  std::string error;
+  ASSERT_TRUE(runtime.AddNode(&sink, 0, harness::LoopbackAny(), &error));
+  ASSERT_TRUE(runtime.AddNode(&sender, 1, harness::LoopbackAny(), &error));
+  runtime.Start();
+  EXPECT_TRUE(SpinUntil(
+      [&] {
+        return sender.sent() && runtime.node_net_stats(1).send_errors >= 1;
+      },
+      5000));
+  runtime.Stop();
+  const net::FrameCounters c = runtime.node_net_stats(1);
+  EXPECT_EQ(c.send_errors, 1u);
+  EXPECT_EQ(c.frames_sent, 0u);
+  EXPECT_EQ(c.bytes_sent, 0u);
 }
 
 // ----------------------------------------------- live hostile datagrams

@@ -711,6 +711,96 @@ void RunCryptoLib(LintCtx& ctx) {
   }
 }
 
+// ------------------------------------------------------------ wire-kinds
+
+/// Reads the (possibly qualified) type name starting at `i` and returns its
+/// last component ("runtime::NetMessage" -> "NetMessage"); `*end` is set
+/// just past the name.
+std::string LastNameComponent(const std::string& code, size_t i,
+                              size_t* end) {
+  std::string last;
+  for (;;) {
+    i = SkipSpace(code, i);
+    if (code.compare(i, 2, "::") == 0) i = SkipSpace(code, i + 2);
+    const size_t begin = i;
+    while (i < code.size() && IsIdentChar(code[i])) ++i;
+    if (i == begin) break;
+    last = code.substr(begin, i - begin);
+    const size_t after = SkipSpace(code, i);
+    if (code.compare(after, 2, "::") != 0) break;
+    i = after;
+  }
+  *end = i;
+  return last;
+}
+
+/// Every direct runtime::NetMessage subclass must have a row in the kind
+/// table of net/wire.cc (`Row<Type, MsgKind::k...>`): a message without
+/// one has no wire form, so the socket backend silently degrades it to
+/// local-only delivery. Rows and classes are matched by unqualified name.
+/// Trees without net/wire.cc have no codec to check against.
+void RunWireKinds(LintCtx& ctx) {
+  const auto wire = ctx.by_path.find("net/wire.cc");
+  if (wire == ctx.by_path.end()) return;
+  std::set<std::string> rows;
+  {
+    const std::string& code = ctx.files[wire->second].scrubbed.code;
+    for (size_t pos = code.find("Row"); pos != std::string::npos;
+         pos = code.find("Row", pos + 1)) {
+      if (!TokenAt(code, pos, 3)) continue;
+      const size_t open = SkipSpace(code, pos + 3);
+      if (open >= code.size() || code[open] != '<') continue;
+      size_t end = 0;
+      const std::string name = LastNameComponent(code, open + 1, &end);
+      if (!name.empty() && code.compare(SkipSpace(code, end), 1, ",") == 0) {
+        rows.insert(name);
+      }
+    }
+  }
+
+  for (const FileCtx& f : ctx.files) {
+    const std::string& code = f.scrubbed.code;
+    for (const char* keyword : {"struct", "class"}) {
+      const std::string k(keyword);
+      for (size_t pos = code.find(k); pos != std::string::npos;
+           pos = code.find(k, pos + 1)) {
+        if (!TokenAt(code, pos, k.size())) continue;
+        size_t i = 0;
+        const std::string name = LastNameComponent(code, pos + k.size(), &i);
+        if (name.empty()) continue;
+        i = SkipSpace(code, i);
+        if (code.compare(i, 5, "final") == 0 && TokenAt(code, i, 5)) {
+          i = SkipSpace(code, i + 5);
+        }
+        if (i >= code.size() || code[i] != ':' ||
+            code.compare(i, 2, "::") == 0) {
+          continue;  // A declaration, a use, or a class without bases.
+        }
+        // Walk the base-specifier list up to the class body.
+        bool is_message = false;
+        for (++i; i < code.size() && code[i] != '{' && code[i] != ';';) {
+          size_t end = 0;
+          const std::string base = LastNameComponent(code, i, &end);
+          if (base == "public" || base == "protected" || base == "private" ||
+              base == "virtual") {
+            i = end;
+            continue;
+          }
+          if (base == "NetMessage") is_message = true;
+          i = end > i ? end : i + 1;
+        }
+        if (!is_message || rows.count(name) != 0) continue;
+        ctx.Report(f, f.scrubbed.LineOf(pos), "wire-kinds",
+                   "runtime::NetMessage subclass '" + name +
+                       "' has no row in net/wire.cc's kind table, so the "
+                       "socket backend can only deliver it locally; add a "
+                       "Fields branch and a Row, or state why it never "
+                       "crosses a process boundary");
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- adversary
 
 void RunAdversary(LintCtx& ctx) {
@@ -757,7 +847,8 @@ void RunAdversary(LintCtx& ctx) {
 const std::vector<std::string>& RuleNames() {
   static const std::vector<std::string> kRules = {
       "layering",  "determinism", "codec-tags", "timer-tag",
-      "adversary", "threading",   "sockets",    "crypto-lib"};
+      "adversary", "threading",   "sockets",    "crypto-lib",
+      "wire-kinds"};
   return kRules;
 }
 
@@ -787,6 +878,7 @@ std::vector<Finding> Lint(const std::vector<SourceFile>& files,
   if (enabled("threading")) RunThreading(ctx);
   if (enabled("sockets")) RunSockets(ctx);
   if (enabled("crypto-lib")) RunCryptoLib(ctx);
+  if (enabled("wire-kinds")) RunWireKinds(ctx);
 
   std::sort(ctx.findings.begin(), ctx.findings.end(),
             [](const Finding& a, const Finding& b) {

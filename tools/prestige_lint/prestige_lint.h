@@ -1,7 +1,7 @@
 // prestige_lint — project-invariant static checker for the PrestigeBFT tree.
 //
 // A deliberately small analysis: a comment/string-aware token scanner plus a
-// quoted-include graph walker, no libclang. It machine-checks the eight
+// quoted-include graph walker, no libclang. It machine-checks the nine
 // invariants that reviews have historically had to defend by hand:
 //
 //   layering     — nothing under core/, baselines/, client/, or app/ may
@@ -47,6 +47,10 @@
 //                  Finish() credits the active CryptoMeter; a direct
 //                  libcrypto call would bypass it and silently shift the
 //                  simulator's deterministic hash counts.
+//   wire-kinds   — every direct runtime::NetMessage subclass has a row in
+//                  net/wire.cc's kind table (or a stated reason not to): a
+//                  message without one has no wire form, and the socket
+//                  backend would silently deliver it locally only.
 //
 // Suppressions: a finding on line L is suppressed when a comment on L — or
 // on an immediately preceding comment-only line — contains
