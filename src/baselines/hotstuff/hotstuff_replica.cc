@@ -50,11 +50,6 @@ void HotStuffReplica::SetService(std::unique_ptr<app::Service> service) {
   delivery_.SetService(std::move(service));
 }
 
-uint64_t HotStuffReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
 std::vector<runtime::NodeId> HotStuffReplica::PeerActors() const {
   std::vector<runtime::NodeId> peers;
   for (size_t i = 0; i < replicas_.size(); ++i) {
@@ -194,13 +189,6 @@ void HotStuffReplica::EnterView(types::View v, bool failed) {
   }
 }
 
-void HotStuffReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;
-  if (!pending_keys_.insert(key).second) return;
-  pending_txs_.push_back(tx);
-}
-
 void HotStuffReplica::MaybePropose(bool allow_partial) {
   if (!IsLeader() || proposal_active_) return;
   // Slow/selective leader: hold the view without proposing. The passive
@@ -225,23 +213,14 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   if (inherited != pending_blocks_.end()) {
     batch = inherited->second.txs();
   } else {
-    if (pending_txs_.empty()) return;
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) {
+    if (pool_.empty()) return;
+    if (pool_.size() < config_.batch_size && !allow_partial) {
       if (batch_timer_ == 0) {
         batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
       }
       return;
     }
-    std::vector<types::Transaction> fresh;
-    fresh.reserve(std::min(pending_txs_.size(), config_.batch_size));
-    while (!pending_txs_.empty() && fresh.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      pending_keys_.erase(TxKey(tx));
-      if (committed_tx_keys_.count(TxKey(tx)) > 0) continue;
-      fresh.push_back(std::move(tx));
-    }
-    batch = std::move(fresh);
+    batch = pool_.Take(config_.batch_size);
   }
   if (batch.empty()) return;
 
@@ -501,9 +480,6 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
     buffered_commits_[block.n()] = std::move(block);
     return;
   }
-  for (const types::Transaction& tx : block.txs()) {
-    committed_tx_keys_.insert(TxKey(tx));
-  }
   metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
   ++metrics_.committed_blocks;
   metrics_.commit_timeline.Add(Now(), static_cast<int64_t>(block.txs().size()));
@@ -588,14 +564,14 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
     return;
   }
   if (auto* m = dynamic_cast<const types::ClientBatch*>(msg.get())) {
-    for (const types::Transaction& tx : m->txs) EnqueueTx(tx);
+    pool_.Enqueue(msg, m->txs);
     MaybePropose(/*allow_partial=*/false);
     return;
   }
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
     ++metrics_.complaints_received;
-    if (committed_tx_keys_.count(TxKey(m->tx)) > 0) {
+    if (delivery_.Executed(m->tx.pool, m->tx.client_seq)) {
       // Already committed; the client missed the replies. Re-serve the
       // cached execution result from the session table (same recovery
       // path as PrestigeBFT's complaint handler).
@@ -604,7 +580,7 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
       }
       return;
     }
-    EnqueueTx(m->tx);
+    pool_.Enqueue(msg, m->tx);
     MaybePropose(/*allow_partial=*/true);
     return;
   }

@@ -14,15 +14,14 @@
 #ifndef PRESTIGE_BASELINES_HOTSTUFF_REPLICA_H_
 #define PRESTIGE_BASELINES_HOTSTUFF_REPLICA_H_
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/commit_delivery.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/request_pool.h"
 #include "crypto/keys.h"
 #include "crypto/quorum_cert.h"
 #include "ledger/block_store.h"
@@ -202,7 +201,6 @@ class HotStuffReplica : public runtime::Node {
     return util::TimerTagKind<TimerKind>(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
   runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
   std::vector<runtime::NodeId> PeerActors() const;
 
@@ -234,7 +232,6 @@ class HotStuffReplica : public runtime::Node {
   void GuardedSend(const std::vector<runtime::NodeId>& to, runtime::MessagePtr msg);
   crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
 
-  void EnqueueTx(const types::Transaction& tx);
   void EnterView(types::View v, bool failed);
   void AdvanceView(bool failed);
   void MaybePropose(bool allow_partial);
@@ -268,9 +265,7 @@ class HotStuffReplica : public runtime::Node {
   runtime::TimerId batch_timer_ = 0;
 
   // Request pool (all replicas buffer; the scheduled leader proposes).
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
+  core::RequestPool pool_{delivery_};
 
   // Leader state: the single in-flight proposal (basic HotStuff has no
   // pipelining — one decision per view sequence of phases).

@@ -35,11 +35,6 @@ void SbftReplica::SetService(std::unique_ptr<app::Service> service) {
   delivery_.SetService(std::move(service));
 }
 
-uint64_t SbftReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
 std::vector<runtime::NodeId> SbftReplica::PeerActors() const {
   std::vector<runtime::NodeId> peers;
   for (size_t i = 0; i < replicas_.size(); ++i) {
@@ -81,13 +76,6 @@ void SbftReplica::OnTimer(uint64_t tag) {
   }
 }
 
-void SbftReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;
-  if (!pending_keys_.insert(key).second) return;
-  pending_txs_.push_back(tx);
-}
-
 void SbftReplica::MaybePropose(bool allow_partial) {
   if (!IsLeader() || proposal_active_) return;
   // Slow/selective leader: hold the view without proposing; only the view
@@ -111,22 +99,14 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   if (inherited != pending_blocks_.end()) {
     batch = inherited->second.txs();
   } else {
-    if (pending_txs_.empty()) return;
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) {
+    if (pool_.empty()) return;
+    if (pool_.size() < config_.batch_size && !allow_partial) {
       if (batch_timer_ == 0) {
         batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
       }
       return;
     }
-    std::vector<types::Transaction> fresh;
-    while (!pending_txs_.empty() && fresh.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      pending_keys_.erase(TxKey(tx));
-      if (committed_tx_keys_.count(TxKey(tx)) > 0) continue;
-      fresh.push_back(std::move(tx));
-    }
-    batch = std::move(fresh);
+    batch = pool_.Take(config_.batch_size);
   }
   if (batch.empty()) return;
 
@@ -190,9 +170,6 @@ void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
   if (block.n() > store_.LatestTxSeq() + 1) {
     buffered_commits_[block.n()] = std::move(block);
     return;
-  }
-  for (const types::Transaction& tx : block.txs()) {
-    committed_tx_keys_.insert(TxKey(tx));
   }
   metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
   ++metrics_.committed_blocks;
@@ -348,13 +325,13 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
     return;
   }
   if (auto* m = dynamic_cast<const types::ClientBatch*>(msg.get())) {
-    for (const types::Transaction& tx : m->txs) EnqueueTx(tx);
+    pool_.Enqueue(msg, m->txs);
     MaybePropose(false);
     return;
   }
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
-    if (committed_tx_keys_.count(TxKey(m->tx)) > 0) {
+    if (delivery_.Executed(m->tx.pool, m->tx.client_seq)) {
       // Already committed; re-serve the cached reply (the client missed
       // the originals) instead of dropping the complaint.
       if (m->tx.pool < clients_.size()) {
@@ -362,7 +339,7 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
       }
       return;
     }
-    EnqueueTx(m->tx);
+    pool_.Enqueue(msg, m->tx);
     MaybePropose(true);
     return;
   }

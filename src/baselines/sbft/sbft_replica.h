@@ -12,15 +12,14 @@
 #ifndef PRESTIGE_BASELINES_SBFT_REPLICA_H_
 #define PRESTIGE_BASELINES_SBFT_REPLICA_H_
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/commit_delivery.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/request_pool.h"
 #include "crypto/keys.h"
 #include "crypto/quorum_cert.h"
 #include "ledger/block_store.h"
@@ -167,9 +166,7 @@ class SbftReplica : public runtime::Node {
     return util::TimerTagKind<TimerKind>(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
   std::vector<runtime::NodeId> PeerActors() const;
-  void EnqueueTx(const types::Transaction& tx);
   void MaybePropose(bool allow_partial);
   void ExecuteBlock(ledger::TxBlock block);
   void OnPrePrepare(runtime::NodeId from, const SbPrePrepareMsg& msg,
@@ -216,9 +213,7 @@ class SbftReplica : public runtime::Node {
   runtime::TimerId view_timer_ = 0;
   runtime::TimerId batch_timer_ = 0;
 
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
+  core::RequestPool pool_{delivery_};
 
   bool proposal_active_ = false;
   ledger::TxBlock current_block_;

@@ -19,9 +19,12 @@
 #ifndef PRESTIGE_CORE_CLIENT_SESSION_H_
 #define PRESTIGE_CORE_CLIENT_SESSION_H_
 
+#include <cassert>
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "app/service.h"
 #include "types/ids.h"
@@ -59,39 +62,56 @@ class ClientSessionTable {
 
   /// Records an execution: marks (pool, seq) executed and caches the reply.
   /// Seq 0 is untracked (see IsDuplicate) and recording it is a no-op.
+  /// Heights must not decrease from one call to the next (the commit
+  /// pipeline records in chain order); eviction relies on it.
   void Record(types::ClientPoolId pool, uint64_t seq, app::Response response,
               types::SeqNum height) {
     if (seq == 0) return;
     Session& s = sessions_[pool];
-    if (seq > s.floor) {
-      s.executed_above.insert(seq);
-      // Close the contiguous window.
+    if (seq == s.floor + 1) {
+      // In order: advance the floor, then absorb any sparse seqs it reached.
+      ++s.floor;
       while (!s.executed_above.empty() &&
              *s.executed_above.begin() == s.floor + 1) {
         ++s.floor;
         s.executed_above.erase(s.executed_above.begin());
       }
+    } else if (seq > s.floor) {
+      s.executed_above.insert(seq);
     }
-    s.replies.emplace(seq,
-                      CachedReply{std::move(response), height});
+    if (!s.replies.emplace(seq, CachedReply{std::move(response), height})
+             .second) {
+      return;
+    }
+    assert(s.reply_order.empty() || s.reply_order.back().first <= height);
+    s.reply_order.emplace_back(height, seq);
     ++cached_replies_;
   }
 
   /// Evicts cached replies recorded at or below block `height` (dedup
   /// metadata is kept — duplicates stay detectable forever). Called at
-  /// checkpoint boundaries with `checkpoint - retain_window`.
+  /// checkpoint boundaries with `checkpoint - retain_window`. Replies are
+  /// recorded in height order, so each pool's oldest ones are at the front
+  /// of its FIFO and eviction touches only what it removes.
   void EvictUpTo(types::SeqNum height) {
     for (auto& [pool, s] : sessions_) {
       (void)pool;
-      for (auto it = s.replies.begin(); it != s.replies.end();) {
-        if (it->second.height <= height) {
-          it = s.replies.erase(it);
-          --cached_replies_;
-        } else {
-          ++it;
-        }
+      while (!s.reply_order.empty() && s.reply_order.front().first <= height) {
+        cached_replies_ -= s.replies.erase(s.reply_order.front().second);
+        s.reply_order.pop_front();
       }
     }
+  }
+
+  /// The pool's contiguous floor: every seq in [1, floor] executed.
+  uint64_t Floor(types::ClientPoolId pool) const {
+    auto it = sessions_.find(pool);
+    return it == sessions_.end() ? 0 : it->second.floor;
+  }
+  /// Executed seqs above the pool's floor (the out-of-order window).
+  size_t SparseCount(types::ClientPoolId pool) const {
+    auto it = sessions_.find(pool);
+    return it == sessions_.end() ? 0 : it->second.executed_above.size();
   }
 
   size_t session_count() const { return sessions_.size(); }
@@ -102,6 +122,8 @@ class ClientSessionTable {
     uint64_t floor = 0;                  ///< All seqs <= floor executed.
     std::set<uint64_t> executed_above;   ///< Executed seqs > floor (sparse).
     std::unordered_map<uint64_t, CachedReply> replies;
+    /// (height, seq) of every cached reply, in recording order.
+    std::deque<std::pair<types::SeqNum, uint64_t>> reply_order;
   };
 
   std::unordered_map<types::ClientPoolId, Session> sessions_;

@@ -20,6 +20,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -62,19 +63,25 @@ class CommitPipeline {
   /// returns one ClientReply per client pool present in the block.
   std::vector<std::shared_ptr<types::ClientReply>> Deliver(
       const ledger::TxBlock& block) {
-    std::map<types::ClientPoolId, std::shared_ptr<types::ClientReply>>
-        by_pool;
+    // One reply per pool, each sized once from a first counting pass.
+    struct PoolReply {
+      size_t count = 0;
+      std::shared_ptr<types::ClientReply> reply;
+    };
+    std::map<types::ClientPoolId, PoolReply> by_pool;
+    for (const types::Transaction& tx : block.txs()) ++by_pool[tx.pool].count;
+    for (auto& [pool, slot] : by_pool) {
+      slot.reply = std::make_shared<types::ClientReply>();
+      slot.reply->replica = replica_id_;
+      slot.reply->v = block.v;
+      slot.reply->n = block.n();
+      slot.reply->pool = pool;
+      slot.reply->entries.reserve(slot.count);
+    }
     for (const types::Transaction& tx : block.txs()) {
-      types::ReplyEntry entry = ExecuteOrReplay(tx, block.n());
-      std::shared_ptr<types::ClientReply>& reply = by_pool[tx.pool];
-      if (reply == nullptr) {
-        reply = std::make_shared<types::ClientReply>();
-        reply->replica = replica_id_;
-        reply->v = block.v;
-        reply->n = block.n();
-        reply->pool = tx.pool;
-      }
-      reply->entries.push_back(std::move(entry));
+      if (tx.client_seq == 0) zero_seq_decided_.insert(tx.pool);
+      by_pool[tx.pool].reply->entries.push_back(
+          ExecuteOrReplay(tx, block.n()));
     }
     service_->OnBlockCommitted(block.n(), block.v);
     ++stats_.blocks_delivered;
@@ -86,9 +93,9 @@ class CommitPipeline {
 
     std::vector<std::shared_ptr<types::ClientReply>> replies;
     replies.reserve(by_pool.size());
-    for (auto& [pool, reply] : by_pool) {
+    for (auto& [pool, slot] : by_pool) {
       (void)pool;
-      replies.push_back(std::move(reply));
+      replies.push_back(std::move(slot.reply));
     }
     return replies;
   }
@@ -110,8 +117,14 @@ class CommitPipeline {
     return reply;
   }
 
-  /// True when (pool, seq) already executed here (the dedup question).
+  /// True when (pool, seq) is decided here: it committed, so it must not
+  /// be proposed again. The session table answers for session seqs. Seq 0
+  /// is outside session tracking (executed every time it commits), so one
+  /// marker per pool records that some seq-0 request of that pool
+  /// committed, and from then on every seq-0 request of the pool counts as
+  /// decided.
   bool Executed(types::ClientPoolId pool, uint64_t seq) const {
+    if (seq == 0) return zero_seq_decided_.count(pool) > 0;
     return sessions_.IsDuplicate(pool, seq);
   }
 
@@ -161,6 +174,8 @@ class CommitPipeline {
   types::SeqNum reply_retain_blocks_;
   std::unique_ptr<app::Service> service_;
   ClientSessionTable sessions_;
+  /// Pools with a committed seq-0 request (see Executed).
+  std::set<types::ClientPoolId> zero_seq_decided_;
   Stats stats_;
 };
 

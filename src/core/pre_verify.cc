@@ -78,9 +78,9 @@ runtime::Node::VerdictFn PrestigeReplica::PreVerify(
   if (auto m = std::dynamic_pointer_cast<const ComptRelayMsg>(msg)) {
     auto pre = std::make_shared<ComptRelayMsg::Verified>();
     pre->sig_ok = keys_->Verify(m->sig, m->tx.Digest());
-    return [this, from, m, pre]() {
+    return [this, msg, m, pre]() {
       if (CrashedNow()) return;
-      OnComptRelay(from, *m, pre.get());
+      OnComptRelay(msg, *m, pre.get());
     };
   }
   if (auto m = std::dynamic_pointer_cast<const ConfVcMsg>(msg)) {

@@ -51,11 +51,6 @@ void PrestigeReplica::SetService(std::unique_ptr<app::Service> service) {
   delivery_.SetService(std::move(service));
 }
 
-uint64_t PrestigeReplica::TxKey(const types::Transaction& tx) {
-  return static_cast<uint64_t>(tx.pool) * 0x9e3779b97f4a7c15ULL ^
-         tx.client_seq * 0xc2b2ae3d27d4eb4fULL;
-}
-
 std::vector<runtime::NodeId> PrestigeReplica::PeerActors() const {
   std::vector<runtime::NodeId> peers;
   peers.reserve(replicas_.size() - 1);
@@ -206,11 +201,11 @@ void PrestigeReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
   }
 
   if (auto* m = dynamic_cast<const types::ClientBatch*>(msg.get())) {
-    OnClientBatch(from, *m);
+    OnClientBatch(msg, *m);
     return;
   }
   if (auto* m = dynamic_cast<const types::ClientComplaint*>(msg.get())) {
-    OnClientComplaint(from, *m);
+    OnClientComplaint(msg, *m);
     return;
   }
   if (auto* m = dynamic_cast<const OrdMsg*>(msg.get())) {
@@ -238,7 +233,7 @@ void PrestigeReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
     return;
   }
   if (auto* m = dynamic_cast<const ComptRelayMsg*>(msg.get())) {
-    OnComptRelay(from, *m);
+    OnComptRelay(msg, *m);
     return;
   }
   if (auto* m = dynamic_cast<const ConfVcMsg*>(msg.get())) {
@@ -410,14 +405,14 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
           const types::Transaction* evidence = nullptr;
           uint64_t evidence_key = 0;
           for (const auto& [key, state] : complaints_) {
-            if (committed_tx_keys_.count(key) > 0) continue;
+            if (Decided(state.tx)) continue;
             if (evidence == nullptr || key < evidence_key) {
               evidence = &state.tx;
               evidence_key = key;
             }
           }
           if (evidence == nullptr && has_attack_complaint_) {
-            if (committed_tx_keys_.count(TxKey(attack_complaint_tx_)) == 0) {
+            if (!Decided(attack_complaint_tx_)) {
               evidence = &attack_complaint_tx_;
             } else {
               has_attack_complaint_ = false;
@@ -534,27 +529,18 @@ util::Status PrestigeReplica::ValidateAndAppendTxBlock(
     ++metrics_.committed_blocks;
     metrics_.commit_timeline.Add(Now(),
                                  static_cast<int64_t>(block.BatchSize()));
-    for (const types::Transaction& tx : block.txs()) {
-      const uint64_t key = TxKey(tx);
-      committed_tx_keys_.insert(key);
-      auto it = complaints_.find(key);
-      if (it != complaints_.end()) {
-        ResolveComplaint(it);
+    if (!complaints_.empty()) {
+      for (const types::Transaction& tx : block.txs()) {
+        auto it = complaints_.find(TxKey(tx));
+        if (it != complaints_.end()) {
+          ResolveComplaint(it);
+        }
       }
     }
     // Amortized prune: committed entries linger in the request pool until
     // proposal time; rebuild the pool occasionally to bound its size.
-    if (pending_txs_.size() > 8 * config_.batch_size + 1024) {
-      std::deque<types::Transaction> kept;
-      for (types::Transaction& tx : pending_txs_) {
-        const uint64_t key = TxKey(tx);
-        if (committed_tx_keys_.count(key) > 0) {
-          pending_keys_.erase(key);
-        } else {
-          kept.push_back(std::move(tx));
-        }
-      }
-      pending_txs_.swap(kept);
+    if (pool_.size() > 8 * config_.batch_size + 1024) {
+      pool_.PruneDecided();
     }
   }
   return st;

@@ -18,7 +18,6 @@
 #ifndef PRESTIGE_CORE_REPLICA_H_
 #define PRESTIGE_CORE_REPLICA_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +29,7 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/request_pool.h"
 #include "crypto/keys.h"
 #include "crypto/pow.h"
 #include "ledger/block_store.h"
@@ -100,7 +100,7 @@ class PrestigeReplica : public runtime::Node {
 
   // Introspection for tests and debugging.
   bool replication_enabled() const { return replication_enabled_; }
-  size_t pending_pool_size() const { return pending_txs_.size(); }
+  size_t pending_pool_size() const { return pool_.size(); }
   size_t inflight_instances() const { return instances_.size(); }
   size_t pending_block_count() const { return pending_blocks_.size(); }
   types::View voted_view() const { return voted_view_; }
@@ -193,7 +193,13 @@ class PrestigeReplica : public runtime::Node {
     return util::TimerTagPayload(tag);
   }
 
-  static uint64_t TxKey(const types::Transaction& tx);
+  static uint64_t TxKey(const types::Transaction& tx) {
+    return RequestPool::Key(tx);
+  }
+  /// True once `tx` committed here (see CommitPipeline::Executed).
+  bool Decided(const types::Transaction& tx) const {
+    return delivery_.Executed(tx.pool, tx.client_seq);
+  }
 
   runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
   std::vector<runtime::NodeId> PeerActors() const;  ///< All replicas but self.
@@ -232,10 +238,12 @@ class PrestigeReplica : public runtime::Node {
   }
 
   // ------------------------------------------------------- replication
-  void OnClientBatch(runtime::NodeId from, const types::ClientBatch& batch);
-  void EnqueueTx(const types::Transaction& tx);
+  /// `msg` owns `batch`; the request pool references it instead of
+  /// copying the requests.
+  void OnClientBatch(const runtime::MessagePtr& msg,
+                     const types::ClientBatch& batch);
   void MaybePropose(bool allow_partial = false);
-  void Propose(std::vector<types::Transaction> batch);
+  void Propose(types::TxBatch batch);
   /// Broadcasts an Ord to all peers; with an equivocating adversary
   /// installed, follower groups receive conflicting signed variants.
   void BroadcastOrd(const std::shared_ptr<OrdMsg>& ord);
@@ -268,9 +276,11 @@ class PrestigeReplica : public runtime::Node {
   void RetransmitStalledInstances();
 
   // ------------------------------------------------------- view change
-  void OnClientComplaint(runtime::NodeId from,
+  /// The complaint handlers take the owning message so a request they
+  /// pool is referenced, not copied.
+  void OnClientComplaint(const runtime::MessagePtr& owner,
                          const types::ClientComplaint& compt);
-  void OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg,
+  void OnComptRelay(const runtime::MessagePtr& owner, const ComptRelayMsg& msg,
                     const ComptRelayMsg::Verified* pre = nullptr);
   /// Arms a complaint-wait timer for the complaint keyed by `key`, filling
   /// `state`'s timer/probe fields. Timer tags carry only 48 payload bits,
@@ -364,8 +374,7 @@ class PrestigeReplica : public runtime::Node {
       refresh_overlay_;
 
   // Request pool (all replicas buffer; only the leader proposes).
-  std::deque<types::Transaction> pending_txs_;
-  std::unordered_set<uint64_t> pending_keys_;  ///< Keys in pending_txs_.
+  RequestPool pool_{delivery_};
   std::map<types::SeqNum, Instance> instances_;
   std::map<types::SeqNum, ledger::TxBlock> ready_blocks_;  ///< Out-of-order.
   types::SeqNum next_seq_ = 1;
@@ -379,7 +388,6 @@ class PrestigeReplica : public runtime::Node {
   // Follower replication state.
   std::map<types::SeqNum, PendingBlock> pending_blocks_;
   std::map<types::SeqNum, ledger::TxBlock> buffered_commits_;
-  std::unordered_set<uint64_t> committed_tx_keys_;
   /// Cross-view ordering binding: once this replica ordering-signs a block
   /// at sequence n, it never ordering- or commit-signs a different block at
   /// n. Since an ordering_QC needs 2f+1 signers, at most one body can ever

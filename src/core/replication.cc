@@ -12,22 +12,12 @@ namespace core {
 
 // ----------------------------------------------------------- client input
 
-void PrestigeReplica::OnClientBatch(runtime::NodeId from,
+void PrestigeReplica::OnClientBatch(const runtime::MessagePtr& msg,
                                     const types::ClientBatch& batch) {
-  (void)from;
   // Every replica buffers proposals (clients broadcast them, §4.3), so a
   // newly elected leader can make immediate progress on outstanding load.
-  for (const types::Transaction& tx : batch.txs) {
-    EnqueueTx(tx);
-  }
+  pool_.Enqueue(msg, batch.txs);
   if (role_ == Role::kLeader) MaybePropose();
-}
-
-void PrestigeReplica::EnqueueTx(const types::Transaction& tx) {
-  const uint64_t key = TxKey(tx);
-  if (committed_tx_keys_.count(key) > 0) return;  // Already decided.
-  if (!pending_keys_.insert(key).second) return;  // Already buffered.
-  pending_txs_.push_back(tx);
 }
 
 void PrestigeReplica::MaybePropose(bool allow_partial) {
@@ -40,32 +30,27 @@ void PrestigeReplica::MaybePropose(bool allow_partial) {
   // actually goes out: when the timer fires while the pipeline is full, the
   // trigger must survive to the next free slot, not be dropped.
   if (partial_due_) allow_partial = true;
-  while (!pending_txs_.empty() && instances_.size() < config_.max_inflight) {
-    if (pending_txs_.size() < config_.batch_size && !allow_partial) break;
-    std::vector<types::Transaction> batch;
-    batch.reserve(std::min(pending_txs_.size(), config_.batch_size));
-    while (!pending_txs_.empty() && batch.size() < config_.batch_size) {
-      types::Transaction tx = pending_txs_.front();
-      pending_txs_.pop_front();
-      const uint64_t key = TxKey(tx);
-      pending_keys_.erase(key);
-      if (committed_tx_keys_.count(key) > 0) continue;   // Already decided.
-      if (inflight_tx_keys_.count(key) > 0) continue;    // Being re-proposed.
-      batch.push_back(std::move(tx));
-    }
+  while (!pool_.empty() && instances_.size() < config_.max_inflight) {
+    if (pool_.size() < config_.batch_size && !allow_partial) break;
+    // Decided requests are dropped by the pool; those inside an in-flight
+    // (re-proposed) body are dropped here.
+    std::vector<types::Transaction> batch =
+        pool_.Take(config_.batch_size, [this](const types::Transaction& tx) {
+          return inflight_tx_keys_.count(TxKey(tx)) > 0;
+        });
     if (batch.empty()) break;
     Propose(std::move(batch));
     allow_partial = false;  // At most one partial block per trigger.
     partial_due_ = false;   // The overdue front of the pool was proposed.
   }
-  if (pending_txs_.empty()) partial_due_ = false;
+  if (pool_.empty()) partial_due_ = false;
   // A partial batch left behind gets proposed when the batch timer fires.
-  if (!pending_txs_.empty() && batch_timer_ == 0) {
+  if (!pool_.empty() && batch_timer_ == 0) {
     batch_timer_ = SetTimer(config_.batch_wait, Tag(kBatchTimer));
   }
 }
 
-void PrestigeReplica::Propose(std::vector<types::Transaction> batch) {
+void PrestigeReplica::Propose(types::TxBatch batch) {
   for (const types::Transaction& tx : batch) {
     inflight_tx_keys_.insert(TxKey(tx));
   }
@@ -471,10 +456,10 @@ void PrestigeReplica::StartLeading() {
     if (body.n() < next_seq_) continue;  // Committed while we were elected.
     if (body.n() != next_seq_ || instances_.size() >= config_.max_inflight) {
       // Gap or full pipeline: recycle the transactions into the pool.
-      for (const types::Transaction& tx : body.txs()) EnqueueTx(tx);
+      pool_.Enqueue(body.txs());
       continue;
     }
-    Propose(body.release_txs());
+    Propose(body.txs());
   }
 
   MaybePropose(/*allow_partial=*/true);
@@ -488,15 +473,15 @@ void PrestigeReplica::StopReplicationActivity() {
     (void)n;
     for (const types::Transaction& tx : instance.block.txs()) {
       inflight_tx_keys_.erase(TxKey(tx));
-      EnqueueTx(tx);
     }
+    pool_.Enqueue(instance.block.txs());
   }
   for (auto& [n, block] : ready_blocks_) {
     (void)n;
     for (const types::Transaction& tx : block.txs()) {
       inflight_tx_keys_.erase(TxKey(tx));
-      EnqueueTx(tx);
     }
+    pool_.Enqueue(block.txs());
   }
   instances_.clear();
   ready_blocks_.clear();

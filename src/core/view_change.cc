@@ -15,12 +15,11 @@ namespace core {
 
 // ------------------------------------------------------ failure detection
 
-void PrestigeReplica::OnClientComplaint(runtime::NodeId from,
+void PrestigeReplica::OnClientComplaint(const runtime::MessagePtr& owner,
                                         const types::ClientComplaint& compt) {
-  (void)from;
   ++metrics_.complaints_received;
   const uint64_t key = TxKey(compt.tx);
-  if (committed_tx_keys_.count(key) > 0) {
+  if (Decided(compt.tx)) {
     // Already committed; the client likely missed the replies. Re-serve
     // the cached execution result from the session table.
     if (compt.tx.pool < clients_.size()) {
@@ -49,7 +48,7 @@ void PrestigeReplica::OnClientComplaint(runtime::NodeId from,
       attack_complaint_tx_ = compt.tx;
       has_attack_complaint_ = true;
     }
-    EnqueueTx(compt.tx);
+    pool_.Enqueue(owner, compt.tx);
     MaybePropose(/*allow_partial=*/true);
     return;
   }
@@ -77,9 +76,9 @@ void PrestigeReplica::ArmComplaintTimer(uint64_t key, ComplaintState& state) {
   state.timer = SetTimer(config_.complaint_wait, Tag(kComplaintWait, probe));
 }
 
-void PrestigeReplica::OnComptRelay(runtime::NodeId from, const ComptRelayMsg& msg,
+void PrestigeReplica::OnComptRelay(const runtime::MessagePtr& owner,
+                                   const ComptRelayMsg& msg,
                                    const ComptRelayMsg::Verified* pre) {
-  (void)from;
   if (role_ != Role::kLeader) return;
   const bool sig_ok =
       pre != nullptr ? pre->sig_ok : keys_->Verify(msg.sig, msg.tx.Digest());
@@ -87,7 +86,7 @@ void PrestigeReplica::OnComptRelay(runtime::NodeId from, const ComptRelayMsg& ms
     ++metrics_.invalid_messages;
     return;
   }
-  EnqueueTx(msg.tx);
+  pool_.Enqueue(owner, msg.tx);
   MaybePropose(/*allow_partial=*/true);
 }
 
@@ -119,7 +118,7 @@ void PrestigeReplica::HandleComplaintTimer(uint64_t probe) {
   if (it == complaints_.end()) return;  // Committed in the meantime.
   it->second.escalated = true;  // Entry kept: peers' ConfVCs need it.
   const types::Transaction tx = it->second.tx;
-  if (committed_tx_keys_.count(key) > 0) {
+  if (Decided(tx)) {
     ResolveComplaint(it);
     return;  // Leader was correct.
   }
@@ -180,9 +179,7 @@ void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
     case VcReason::kClientComplaint: {
       // Support only if we saw the same complaint and it is still pending
       // (Algorithm 2 line 12-13), or it timed out on us already.
-      const uint64_t key = TxKey(msg.tx);
-      support = complaints_.count(key) > 0 &&
-                committed_tx_keys_.count(key) == 0;
+      support = complaints_.count(TxKey(msg.tx)) > 0 && !Decided(msg.tx);
       break;
     }
     case VcReason::kTimeout:

@@ -104,6 +104,10 @@ class TxBatch {
     return std::vector<Transaction>(begin(), end());
   }
 
+  /// A reference on the shared body: holders may keep pointers into
+  /// [begin(), end()) for as long as they hold it.
+  std::shared_ptr<const void> storage() const { return body_; }
+
  private:
   using Body = std::vector<Transaction, util::PageAllocator<Transaction>>;
 

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "app/kv_service.h"
 #include "core/client_session.h"
 #include "core/commit_delivery.h"
@@ -14,6 +20,7 @@
 #include "harness/invariants.h"
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
+#include "util/random.h"
 
 namespace prestige {
 namespace core {
@@ -83,6 +90,103 @@ TEST(ClientSessionTableTest, EvictionDropsRepliesButKeepsDedup) {
   EXPECT_TRUE(table.IsDuplicate(0, 1));     // ...but still a duplicate.
   ASSERT_NE(table.Lookup(0, 2), nullptr);   // Newer reply retained.
   EXPECT_EQ(table.cached_replies(), 1u);
+}
+
+TEST(ClientSessionTableTest, InOrderRecordsOnlyAdvanceTheFloor) {
+  ClientSessionTable table;
+  for (uint64_t seq = 1; seq <= 1000; ++seq) {
+    table.Record(3, seq, app::Response{}, static_cast<types::SeqNum>(seq));
+  }
+  EXPECT_EQ(table.Floor(3), 1000u);
+  EXPECT_EQ(table.SparseCount(3), 0u);
+  // A hole keeps later seqs sparse until it is filled.
+  table.Record(3, 1002, app::Response{}, 1001);
+  table.Record(3, 1003, app::Response{}, 1001);
+  EXPECT_EQ(table.Floor(3), 1000u);
+  EXPECT_EQ(table.SparseCount(3), 2u);
+  table.Record(3, 1001, app::Response{}, 1002);
+  EXPECT_EQ(table.Floor(3), 1003u);
+  EXPECT_EQ(table.SparseCount(3), 0u);
+}
+
+TEST(ClientSessionTableTest, RecordingASeqTwiceCachesOneReply) {
+  ClientSessionTable table;
+  table.Record(0, 1, app::Response{}, 1);
+  table.Record(0, 1, app::Response{}, 2);
+  EXPECT_EQ(table.cached_replies(), 1u);
+  EXPECT_EQ(table.Lookup(0, 1)->height, 1);
+  table.EvictUpTo(1);
+  EXPECT_EQ(table.cached_replies(), 0u);
+  EXPECT_EQ(table.Lookup(0, 1), nullptr);
+}
+
+/// Randomized differential test against a plain reference model: a set of
+/// executed (pool, seq) and a map of cached replies with their heights.
+TEST(ClientSessionTableTest, MatchesReferenceModelUnderRandomOps) {
+  util::Rng rng(20240917);
+  for (int round = 0; round < 20; ++round) {
+    ClientSessionTable table;
+    std::set<std::pair<types::ClientPoolId, uint64_t>> executed;
+    std::map<std::pair<types::ClientPoolId, uint64_t>,
+             std::pair<types::SeqNum, uint8_t>>
+        cached;
+    std::vector<uint64_t> next_seq(3, 1);
+    types::SeqNum height = 1;
+    for (int op = 0; op < 2000; ++op) {
+      const auto pool = static_cast<types::ClientPoolId>(rng.NextBounded(3));
+      const uint64_t kind = rng.NextBounded(20);
+      if (kind == 0) {
+        // Checkpoint eviction somewhere at or below the current height.
+        const types::SeqNum upto =
+            height - static_cast<types::SeqNum>(rng.NextBounded(8));
+        table.EvictUpTo(upto);
+        for (auto it = cached.begin(); it != cached.end();) {
+          it = it->second.first <= upto ? cached.erase(it) : std::next(it);
+        }
+        continue;
+      }
+      if (kind == 1) {
+        ++height;
+        continue;
+      }
+      // Mostly the next seq; sometimes one a little ahead (a hole), an
+      // old one (a re-record), or seq 0 (untracked).
+      uint64_t seq = next_seq[pool];
+      if (kind < 5) {
+        seq += 1 + rng.NextBounded(5);
+      } else if (kind < 7 && next_seq[pool] > 1) {
+        seq = 1 + rng.NextBounded(next_seq[pool] - 1);
+      } else if (kind == 7) {
+        seq = 0;
+      }
+      if (seq == next_seq[pool]) ++next_seq[pool];
+      app::Response response;
+      response.result = {static_cast<uint8_t>(op)};
+      table.Record(pool, seq, response, height);
+      if (seq != 0) {
+        executed.insert({pool, seq});
+        cached.emplace(std::make_pair(pool, seq),
+                       std::make_pair(height, static_cast<uint8_t>(op)));
+      }
+    }
+    ASSERT_EQ(table.cached_replies(), cached.size()) << "round " << round;
+    for (types::ClientPoolId pool = 0; pool < 3; ++pool) {
+      for (uint64_t seq = 0; seq < next_seq[pool] + 8; ++seq) {
+        const auto key = std::make_pair(pool, seq);
+        ASSERT_EQ(table.IsDuplicate(pool, seq), executed.count(key) > 0)
+            << "pool " << pool << " seq " << seq;
+        const ClientSessionTable::CachedReply* reply = table.Lookup(pool, seq);
+        auto it = cached.find(key);
+        ASSERT_EQ(reply != nullptr, it != cached.end())
+            << "pool " << pool << " seq " << seq;
+        if (reply != nullptr) {
+          EXPECT_EQ(reply->height, it->second.first);
+          EXPECT_EQ(reply->response.result,
+                    std::vector<uint8_t>{it->second.second});
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- CommitPipeline

@@ -481,6 +481,37 @@ TEST_F(LeaderUnitTest, PartialBatchSurvivesFullPipeline) {
   EXPECT_EQ(leader_->pending_pool_size(), 0u);
 }
 
+// The request pool references the delivered ClientBatch instead of copying
+// its requests. Once the network lets go of the message the pool holds the
+// only reference, and the proposal built from it must still carry the
+// original requests (the ASan build turns a dangling reference into a
+// reported use-after-free).
+TEST_F(LeaderUnitTest, ProposesFromABatchOnlyThePoolHolds) {
+  auto batch = std::make_shared<types::ClientBatch>();
+  for (uint64_t i = 0; i < 3; ++i) {
+    types::Transaction tx;
+    tx.pool = 0;
+    tx.client_seq = i + 1;
+    tx.fingerprint = 0x2000 + i;
+    tx.command.assign(40, static_cast<uint8_t>(i + 1));
+    batch->txs.push_back(tx);
+  }
+  const std::vector<types::Transaction> sent = batch->txs;
+  std::weak_ptr<const types::ClientBatch> watch = batch;
+  net_.Send(4, 0, std::move(batch));
+  sim_.RunUntil(Millis(5));
+  // Delivered and pooled (3 < batch_size): nothing else holds it now.
+  EXPECT_EQ(leader_->pending_pool_size(), 3u);
+  EXPECT_EQ(watch.use_count(), 1);
+
+  // The batch timer (20 ms) proposes the partial batch from the pool.
+  sim_.RunUntil(Millis(30));
+  ASSERT_EQ(probes_[1].Count<OrdMsg>(), 1);
+  EXPECT_EQ(probes_[1].Last<OrdMsg>()->txs.ToVector(), sent);
+  EXPECT_EQ(leader_->pending_pool_size(), 0u);
+  EXPECT_TRUE(watch.expired());
+}
+
 // ------------------------------------------- complaint / probe lifecycle
 //
 // Complaint-wait timer tags carry only 48 payload bits, so 64-bit
