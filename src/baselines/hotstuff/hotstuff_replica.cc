@@ -33,68 +33,7 @@ crypto::Sha256Digest HsVoteDigest(HsPhase phase, types::View v,
 HotStuffReplica::HotStuffReplica(HotStuffConfig config, types::ReplicaId id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : config_(config),
-      id_(id),
-      keys_(keys),
-      signer_(keys, id),
-      fault_(fault),
-      delivery_(id) {}
-
-void HotStuffReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                                  std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void HotStuffReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-std::vector<runtime::NodeId> HotStuffReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
-
-bool HotStuffReplica::QuietActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kQuiet) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc && IsLeader() &&
-      fault_.as_leader == types::LeaderMisbehaviour::kQuiet) {
-    return true;
-  }
-  return false;
-}
-
-bool HotStuffReplica::EquivocateActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kEquivocate) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc && IsLeader() &&
-      fault_.as_leader == types::LeaderMisbehaviour::kEquivocate) {
-    return true;
-  }
-  return false;
-}
-
-void HotStuffReplica::GuardedSend(runtime::NodeId to, runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-void HotStuffReplica::GuardedSend(const std::vector<runtime::NodeId>& to,
-                                  runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-crypto::Signature HotStuffReplica::SignMaybeCorrupt(
-    const crypto::Sha256Digest& digest) {
-  crypto::Signature sig = signer_.Sign(digest);
-  if (EquivocateActive()) sig.mac[0] ^= 0xff;
-  return sig;
-}
+    : ReplicaShell(id, keys, fault), config_(config) {}
 
 void HotStuffReplica::OnStart() {
   view_ = 1;
@@ -123,11 +62,8 @@ void HotStuffReplica::ArmViewTimer() {
 }
 
 void HotStuffReplica::OnTimer(uint64_t tag) {
-  if (fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-      Now() >= fault_.start_at) {
-    return;
-  }
-  switch (TagKind(tag)) {
+  if (CrashedNow()) return;
+  switch (TagKind<TimerKind>(tag)) {
     case kViewTimer:
       view_timer_ = 0;
       // The passive pacemaker: leader failed; blindly rotate to the next
@@ -152,7 +88,7 @@ void HotStuffReplica::OnTimer(uint64_t tag) {
       MaybePropose(/*allow_partial=*/true);
       break;
     case kNoiseTimer:
-      if (EquivocateActive()) {
+      if (EquivocateActive(IsLeader())) {
         auto noise = std::make_shared<core::NoiseMsg>();
         noise->bytes = 2048;
         Send(PeerActors(), noise);
@@ -169,8 +105,8 @@ void HotStuffReplica::AdvanceView(bool failed) {
   auto nv = std::make_shared<HsNewViewMsg>();
   nv->v = view_;
   nv->latest_n = store_.LatestTxSeq();
-  nv->sig = SignMaybeCorrupt(ledger::ConfDigest(view_));
-  GuardedSend(ActorOf(current_leader()), nv);
+  nv->sig = SignMaybeCorrupt(IsLeader(), ledger::ConfDigest(view_));
+  GuardedSend(IsLeader(), ActorOf(current_leader()), nv);
 }
 
 void HotStuffReplica::EnterView(types::View v, bool failed) {
@@ -247,9 +183,9 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   auto proposal = std::make_shared<HsProposalMsg>();
   proposal->v = view_;
   proposal->block = current_block_;
-  proposal->sig = SignMaybeCorrupt(vote_digest);
+  proposal->sig = SignMaybeCorrupt(IsLeader(), vote_digest);
   if (adversary_ == nullptr) {
-    GuardedSend(PeerActors(), proposal);
+    GuardedSend(IsLeader(), PeerActors(), proposal);
     return;
   }
   // Equivocating leader: conflicting, properly signed bodies per follower
@@ -271,11 +207,11 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
       }
       forged->block.set_txs(std::move(txs));
       forged->sig = SignMaybeCorrupt(
-          HsVoteDigest(HsPhase::kPrepare, view_, forged->block.n(),
-                       forged->block.Digest()));
+          IsLeader(), HsVoteDigest(HsPhase::kPrepare, view_, forged->block.n(),
+                                   forged->block.Digest()));
       vit = variants.emplace(variant, std::move(forged)).first;
     }
-    GuardedSend(replicas_[i], vit->second);
+    GuardedSend(IsLeader(), replicas_[i], vit->second);
   }
 }
 
@@ -296,7 +232,7 @@ void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
     req->kind = core::SyncReqMsg::Kind::kTxBlocks;
     req->after = store_.LatestTxSeq();
     req->up_to = msg.block.n() - 1;
-    GuardedSend(from, req);
+    GuardedSend(IsLeader(), from, req);
   }
   const crypto::Sha256Digest digest =
       pre != nullptr ? pre->block_digest : msg.block.Digest();
@@ -329,8 +265,8 @@ void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,
   vote->phase = HsPhase::kPrepare;
   vote->n = msg.block.n();
   vote->block_digest = digest;
-  vote->partial = SignMaybeCorrupt(vote_digest);
-  GuardedSend(from, vote);
+  vote->partial = SignMaybeCorrupt(IsLeader(), vote_digest);
+  GuardedSend(IsLeader(), from, vote);
   ArmViewTimer();
   consecutive_failures_ = 0;
 }
@@ -367,8 +303,9 @@ void HotStuffReplica::OnVote(runtime::NodeId from, const HsVoteMsg& msg) {
     decide->block_digest = digest;
     decide->justify = qc;
     decide->sig = SignMaybeCorrupt(
+        IsLeader(),
         HsVoteDigest(HsPhase::kDecide, view_, current_block_.n(), digest));
-    GuardedSend(PeerActors(), decide);
+    GuardedSend(IsLeader(), PeerActors(), decide);
 
     proposal_active_ = false;
     DecideBlock(current_block_);
@@ -388,7 +325,7 @@ void HotStuffReplica::OnVote(runtime::NodeId from, const HsVoteMsg& msg) {
   phase_msg->block_digest = digest;
   phase_msg->justify = qc;
   phase_msg->sig = SignMaybeCorrupt(
-      HsVoteDigest(next_phase, view_, current_block_.n(), digest));
+      IsLeader(), HsVoteDigest(next_phase, view_, current_block_.n(), digest));
 
   collect_phase_ = next_phase;
   const crypto::Sha256Digest next_digest =
@@ -396,7 +333,7 @@ void HotStuffReplica::OnVote(runtime::NodeId from, const HsVoteMsg& msg) {
   vote_builder_ = crypto::QuorumCertBuilder(next_digest, config_.quorum());
   vote_builder_.Add(signer_.Sign(next_digest), next_digest);
 
-  GuardedSend(PeerActors(), phase_msg);
+  GuardedSend(IsLeader(), PeerActors(), phase_msg);
 }
 
 void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
@@ -458,8 +395,8 @@ void HotStuffReplica::OnPhase(runtime::NodeId from, const HsPhaseMsg& msg,
   vote->n = msg.n;
   vote->block_digest = msg.block_digest;
   vote->partial = SignMaybeCorrupt(
-      HsVoteDigest(msg.phase, msg.v, msg.n, msg.block_digest));
-  GuardedSend(from, vote);
+      IsLeader(), HsVoteDigest(msg.phase, msg.v, msg.n, msg.block_digest));
+  GuardedSend(IsLeader(), from, vote);
   ArmViewTimer();
 }
 
@@ -480,26 +417,8 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
     buffered_commits_[block.n()] = std::move(block);
     return;
   }
-  metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
-  ++metrics_.committed_blocks;
-  metrics_.commit_timeline.Add(Now(), static_cast<int64_t>(block.txs().size()));
-  // Shared commit-delivery path: exactly-once execution + result replies.
-  ledger::TxBlock to_execute = block;
-  if (AdversaryTampers()) {
-    // Forged replies: execute a tampered copy so local application state
-    // diverges and the reported results are forged (see core/replica.cc).
-    std::vector<types::Transaction> txs = to_execute.release_txs();
-    for (types::Transaction& tx : txs) {
-      tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-      for (uint8_t& b : tx.command) b ^= 0x5a;
-    }
-    to_execute.set_txs(std::move(txs));
-  }
-  for (const auto& reply : delivery_.Deliver(to_execute)) {
-    if (reply->pool < clients_.size()) {
-      GuardedSend(clients_[reply->pool], reply);
-    }
-  }
+  // Shared commit step: exactly-once execution + result replies.
+  DeliverBlock(block, QuietActive(IsLeader()));
   util::Status st = store_.AppendTxBlock(std::move(block));
   assert(st.ok());
   (void)st;
@@ -517,11 +436,6 @@ void HotStuffReplica::DecideBlock(ledger::TxBlock block) {
     buffered_commits_.erase(it);
     DecideBlock(std::move(next));
   }
-}
-
-bool HotStuffReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
 }
 
 runtime::Node::VerdictFn HotStuffReplica::PreVerify(
@@ -571,15 +485,9 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
     ++metrics_.complaints_received;
-    if (delivery_.Executed(m->tx.pool, m->tx.client_seq)) {
-      // Already committed; the client missed the replies. Re-serve the
-      // cached execution result from the session table (same recovery
-      // path as PrestigeBFT's complaint handler).
-      if (m->tx.pool < clients_.size()) {
-        GuardedSend(clients_[m->tx.pool], delivery_.ReplyFor(m->tx, view_));
-      }
-      return;
-    }
+    // Already executed: the client missed the replies; re-serve the cached
+    // result. Otherwise pool the request and propose it.
+    if (ReserveReply(m->tx, view_, QuietActive(IsLeader()))) return;
     pool_.Enqueue(msg, m->tx);
     MaybePropose(/*allow_partial=*/true);
     return;
@@ -603,7 +511,7 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
   if (auto* m = dynamic_cast<const core::SyncReqMsg*>(msg.get())) {
     auto resp = std::make_shared<core::SyncRespMsg>();
     resp->tx_blocks = store_.TxBlocksAfter(m->after, m->up_to);
-    if (!resp->tx_blocks.empty()) GuardedSend(from, resp);
+    if (!resp->tx_blocks.empty()) GuardedSend(IsLeader(), from, resp);
     return;
   }
   if (auto* m = dynamic_cast<const core::SyncRespMsg*>(msg.get())) {

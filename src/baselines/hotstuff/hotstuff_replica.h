@@ -18,16 +18,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/commit_delivery.h"
 #include "core/messages.h"
-#include "core/metrics.h"
-#include "core/request_pool.h"
+#include "core/replica_shell.h"
 #include "crypto/keys.h"
 #include "crypto/quorum_cert.h"
-#include "ledger/block_store.h"
-#include "runtime/env.h"
-#include "types/adversary.h"
-#include "types/client_messages.h"
 #include "types/ids.h"
 #include "types/fault_spec.h"
 
@@ -147,21 +141,11 @@ struct HotStuffConfig {
 };
 
 /// One HotStuff server.
-class HotStuffReplica : public runtime::Node {
+class HotStuffReplica : public core::ReplicaShell {
  public:
   HotStuffReplica(HotStuffConfig config, types::ReplicaId id,
                   const crypto::KeyStore* keys,
                   types::FaultSpec fault = types::FaultSpec::Honest());
-
-  void SetTopology(std::vector<runtime::NodeId> replicas,
-                   std::vector<runtime::NodeId> clients);
-  void SetService(std::unique_ptr<app::Service> service);
-
-  /// Installs an active-adversary policy (harness wiring only; nullptr =
-  /// honest, the default). See types/adversary.h.
-  void SetAdversary(const types::AdversaryPolicy* adversary) {
-    adversary_ = adversary;
-  }
 
   void OnStart() override;
   void OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) override;
@@ -179,12 +163,6 @@ class HotStuffReplica : public runtime::Node {
     return static_cast<types::ReplicaId>(view_ % config_.n);
   }
   bool IsLeader() const { return current_leader() == id_; }
-  const ledger::BlockStore& store() const { return store_; }
-  const app::Service& service() const { return delivery_.service(); }
-  const core::CommitPipeline& delivery() const { return delivery_; }
-  const core::ReplicaMetrics& metrics() const { return metrics_; }
-  const types::FaultSpec& fault() const { return fault_; }
-  types::ReplicaId replica_id() const { return id_; }
 
  private:
   enum TimerKind : uint64_t {
@@ -193,45 +171,6 @@ class HotStuffReplica : public runtime::Node {
     kRotationTimer = 3,
     kNoiseTimer = 4,
   };
-  // Shared 48-bit tag packing (util/timer_tag.h).
-  static uint64_t Tag(TimerKind kind, uint64_t payload = 0) {
-    return util::PackTimerTag(kind, payload);
-  }
-  static TimerKind TagKind(uint64_t tag) {
-    return util::TimerTagKind<TimerKind>(tag);
-  }
-
-  runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
-  std::vector<runtime::NodeId> PeerActors() const;
-
-  bool QuietActive() const;
-  bool EquivocateActive() const;
-  /// True once a kCrash fault has activated; epilogues re-check this
-  /// because the fault may trip between prologue and epilogue.
-  bool CrashedNow() const;
-
-  // Active-adversary queries (all false when no policy is installed).
-  bool AdversaryWedged() const {
-    return adversary_ != nullptr && adversary_->WedgeProposals(id_, Now());
-  }
-  bool AdversaryWithholds(types::ReplicaId target) const {
-    return adversary_ != nullptr &&
-           adversary_->WithholdVote(id_, target, Now());
-  }
-  bool AdversaryTampers() const {
-    return adversary_ != nullptr && adversary_->TamperExecution(id_, Now());
-  }
-  types::ReplicaId ReplicaIndexOf(runtime::NodeId node) const {
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i] == node) return static_cast<types::ReplicaId>(i);
-    }
-    return id_;
-  }
-
-  void GuardedSend(runtime::NodeId to, runtime::MessagePtr msg);
-  void GuardedSend(const std::vector<runtime::NodeId>& to, runtime::MessagePtr msg);
-  crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
-
   void EnterView(types::View v, bool failed);
   void AdvanceView(bool failed);
   void MaybePropose(bool allow_partial);
@@ -245,27 +184,12 @@ class HotStuffReplica : public runtime::Node {
   void ArmViewTimer();
 
   HotStuffConfig config_;
-  types::ReplicaId id_;
-  const crypto::KeyStore* keys_;
-  crypto::Signer signer_;
-  types::FaultSpec fault_;
-  /// Active-adversary interposer (nullptr = honest; harness-owned).
-  const types::AdversaryPolicy* adversary_ = nullptr;
-
-  std::vector<runtime::NodeId> replicas_;
-  std::vector<runtime::NodeId> clients_;
-
-  ledger::BlockStore store_;
-  core::CommitPipeline delivery_;
 
   types::View view_ = 1;
   int consecutive_failures_ = 0;
   runtime::TimerId view_timer_ = 0;
   runtime::TimerId rotation_timer_ = 0;
   runtime::TimerId batch_timer_ = 0;
-
-  // Request pool (all replicas buffer; the scheduled leader proposes).
-  core::RequestPool pool_{delivery_};
 
   // Leader state: the single in-flight proposal (basic HotStuff has no
   // pipelining — one decision per view sequence of phases).
@@ -286,8 +210,6 @@ class HotStuffReplica : public runtime::Node {
   /// sequence even when views drift under message loss (found by the
   /// flaky-links scenario).
   std::map<types::SeqNum, crypto::Sha256Digest> vote_bound_;
-
-  core::ReplicaMetrics metrics_;
 };
 
 }  // namespace hotstuff

@@ -18,30 +18,7 @@ crypto::Sha256Digest SbStageDigest(int stage, types::View v, types::SeqNum n,
 SbftReplica::SbftReplica(SbftConfig config, types::ReplicaId id,
                          const crypto::KeyStore* keys,
                          types::FaultSpec fault)
-    : config_(config),
-      id_(id),
-      keys_(keys),
-      signer_(keys, id),
-      fault_(fault),
-      delivery_(id) {}
-
-void SbftReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                              std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void SbftReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-std::vector<runtime::NodeId> SbftReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
+    : ReplicaShell(id, keys, fault), config_(config) {}
 
 void SbftReplica::OnStart() {
   view_ = 1;
@@ -53,7 +30,7 @@ void SbftReplica::OnStart() {
 }
 
 void SbftReplica::OnTimer(uint64_t tag) {
-  switch (TagKind(tag)) {
+  switch (TagKind<TimerKind>(tag)) {
     case kViewTimer:
       // Passive rotation on timeout (fast path only — dual paths and view
       // change details of full SBFT are out of scope for the peak-
@@ -171,26 +148,9 @@ void SbftReplica::ExecuteBlock(ledger::TxBlock block) {
     buffered_commits_[block.n()] = std::move(block);
     return;
   }
-  metrics_.committed_txs += static_cast<int64_t>(block.txs().size());
-  ++metrics_.committed_blocks;
-  metrics_.commit_timeline.Add(Now(), static_cast<int64_t>(block.txs().size()));
-  // Shared commit-delivery path: exactly-once execution + result replies.
-  ledger::TxBlock to_execute = block;
-  if (AdversaryTampers()) {
-    // Forged replies: execute a tampered copy so local application state
-    // diverges and the reported results are forged (see core/replica.cc).
-    std::vector<types::Transaction> txs = to_execute.release_txs();
-    for (types::Transaction& tx : txs) {
-      tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-      for (uint8_t& b : tx.command) b ^= 0x5a;
-    }
-    to_execute.set_txs(std::move(txs));
-  }
-  for (const auto& reply : delivery_.Deliver(to_execute)) {
-    if (reply->pool < clients_.size()) {
-      Send(clients_[reply->pool], reply);
-    }
-  }
+  // Shared commit step: exactly-once execution + result replies, sent
+  // ungated.
+  DeliverBlock(block, /*quiet=*/false);
   util::Status st = store_.AppendTxBlock(std::move(block));
   assert(st.ok());
   (void)st;
@@ -284,11 +244,6 @@ void SbftReplica::OnProof(runtime::NodeId from, const SbProofMsg& msg,
   }
 }
 
-bool SbftReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
-}
-
 runtime::Node::VerdictFn SbftReplica::PreVerify(
     runtime::NodeId from, const runtime::MessagePtr& msg) {
   if (auto m = std::dynamic_pointer_cast<const SbPrePrepareMsg>(msg)) {
@@ -331,14 +286,9 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
   }
   if (auto* m =
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
-    if (delivery_.Executed(m->tx.pool, m->tx.client_seq)) {
-      // Already committed; re-serve the cached reply (the client missed
-      // the originals) instead of dropping the complaint.
-      if (m->tx.pool < clients_.size()) {
-        Send(clients_[m->tx.pool], delivery_.ReplyFor(m->tx, view_));
-      }
-      return;
-    }
+    // Already executed: re-serve the cached reply (the client missed the
+    // originals) instead of dropping the complaint.
+    if (ReserveReply(m->tx, view_, /*quiet=*/false)) return;
     pool_.Enqueue(msg, m->tx);
     MaybePropose(true);
     return;

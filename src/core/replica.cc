@@ -30,85 +30,14 @@ PrestigeReplica::PrestigeReplica(PrestigeConfig config,
                                  types::ReplicaId replica_id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : config_(config),
-      id_(replica_id),
-      keys_(keys),
-      signer_(keys, replica_id),
-      fault_(fault),
+    : ReplicaShell(replica_id, keys, fault),
+      config_(config),
       engine_(config.reputation),
-      delivery_(replica_id),
       modeled_solver_(config.pow) {}
 
 PrestigeReplica::~PrestigeReplica() = default;
 
-void PrestigeReplica::SetTopology(std::vector<runtime::NodeId> replicas,
-                                  std::vector<runtime::NodeId> clients) {
-  replicas_ = std::move(replicas);
-  clients_ = std::move(clients);
-}
-
-void PrestigeReplica::SetService(std::unique_ptr<app::Service> service) {
-  delivery_.SetService(std::move(service));
-}
-
-std::vector<runtime::NodeId> PrestigeReplica::PeerActors() const {
-  std::vector<runtime::NodeId> peers;
-  peers.reserve(replicas_.size() - 1);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (static_cast<types::ReplicaId>(i) != id_) peers.push_back(replicas_[i]);
-  }
-  return peers;
-}
-
-// --------------------------------------------------------------- faults
-
-bool PrestigeReplica::QuietActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kQuiet) return true;
-  // F4+F2: the attacker completes the view-change consensus honestly (so it
-  // is installed as leader), then stonewalls replication.
-  if (fault_.type == types::FaultType::kRepeatedVc &&
-      role_ == Role::kLeader && replication_enabled_ &&
-      fault_.as_leader == types::LeaderMisbehaviour::kQuiet) {
-    return true;
-  }
-  return false;
-}
-
-bool PrestigeReplica::EquivocateActive() const {
-  if (Now() < fault_.start_at) return false;
-  if (fault_.type == types::FaultType::kEquivocate) return true;
-  if (fault_.type == types::FaultType::kRepeatedVc &&
-      role_ == Role::kLeader && replication_enabled_ &&
-      fault_.as_leader == types::LeaderMisbehaviour::kEquivocate) {
-    return true;
-  }
-  return false;
-}
-
-bool PrestigeReplica::ByzantineActive() const {
-  return fault_.IsByzantine() && Now() >= fault_.start_at;
-}
-
-void PrestigeReplica::GuardedSend(runtime::NodeId to, runtime::MessagePtr msg) {
-  if (QuietActive()) return;  // F2: a quiet server emits nothing.
-  Send(to, std::move(msg));
-}
-
-void PrestigeReplica::GuardedSend(const std::vector<runtime::NodeId>& to,
-                                  runtime::MessagePtr msg) {
-  if (QuietActive()) return;
-  Send(to, std::move(msg));
-}
-
-crypto::Signature PrestigeReplica::SignMaybeCorrupt(
-    const crypto::Sha256Digest& digest) {
-  crypto::Signature sig = signer_.Sign(digest);
-  if (EquivocateActive()) {
-    sig.mac[0] ^= 0xff;  // F3: erroneous reply; receivers reject it.
-  }
-  return sig;
-}
+// ------------------------------------------------------------ reputation
 
 types::Penalty PrestigeReplica::EffectiveRp(types::ReplicaId id) const {
   auto it = refresh_overlay_.find(id);
@@ -182,18 +111,13 @@ void PrestigeReplica::OnStart() {
     // Crash faults are modeled at the network layer by the harness; the
     // replica itself needs no behaviour change here.
   }
-  if (EquivocateActive() ||
+  if (EquivocateActive(Leading()) ||
       fault_.type == types::FaultType::kEquivocate) {
     SetTimer(util::Millis(50), Tag(kNoiseTimer));
   }
 }
 
 // ------------------------------------------------------------- dispatch
-
-bool PrestigeReplica::CrashedNow() const {
-  return fault_.type == types::FaultType::kCrash && fault_.start_at > 0 &&
-         Now() >= fault_.start_at;
-}
 
 void PrestigeReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg) {
   if (CrashedNow()) {
@@ -291,7 +215,7 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
   if (CrashedNow()) {
     return;
   }
-  switch (TagKind(tag)) {
+  switch (TagKind<TimerKind>(tag)) {
     case kProgressTimeout: {
       progress_timer_ = 0;
       if (role_ == Role::kLeader) break;
@@ -348,8 +272,9 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
         auto hb = std::make_shared<HeartbeatMsg>();
         hb->v = view_;
         hb->latest_n = store_.LatestTxSeq();
-        hb->sig = SignMaybeCorrupt(HeartbeatDigest(hb->v, hb->latest_n));
-        GuardedSend(PeerActors(), hb);
+        hb->sig = SignMaybeCorrupt(Leading(),
+                                   HeartbeatDigest(hb->v, hb->latest_n));
+        GuardedSend(Leading(), PeerActors(), hb);
         RetransmitStalledInstances();
         heartbeat_timer_ =
             SetTimer(config_.timeout_min / 3, Tag(kHeartbeat));
@@ -364,7 +289,7 @@ void PrestigeReplica::OnTimer(uint64_t tag) {
       inspecting_ = false;
       break;
     case kNoiseTimer:
-      if (EquivocateActive()) {
+      if (EquivocateActive(Leading())) {
         auto noise = std::make_shared<NoiseMsg>();
         noise->bytes = 2048;
         Send(PeerActors(), noise);
@@ -446,7 +371,7 @@ void PrestigeReplica::RequestSync(runtime::NodeId from, SyncReqMsg::Kind kind,
   req->kind = kind;
   req->after = after;
   req->up_to = up_to;
-  GuardedSend(from, req);
+  GuardedSend(Leading(), from, req);
 }
 
 void PrestigeReplica::OnSyncReq(runtime::NodeId from, const SyncReqMsg& msg) {
@@ -457,7 +382,7 @@ void PrestigeReplica::OnSyncReq(runtime::NodeId from, const SyncReqMsg& msg) {
     resp->vc_blocks = store_.VcBlocksAfter(msg.after, msg.up_to);
   }
   if (resp->tx_blocks.empty() && resp->vc_blocks.empty()) return;
-  GuardedSend(from, resp);
+  GuardedSend(Leading(), from, resp);
 }
 
 void PrestigeReplica::OnSyncResp(runtime::NodeId from, const SyncRespMsg& msg) {
@@ -509,26 +434,7 @@ util::Status PrestigeReplica::ValidateAndAppendTxBlock(
   if (st.ok()) {
     // One delivery path for every commit route (leader, follower, sync):
     // exactly-once execution + per-pool replies carrying the results.
-    if (AdversaryTampers()) {
-      // Forged replies: execute a tampered copy of the committed block, so
-      // this replica's application state genuinely diverges and the reply
-      // entries it reports carry forged result digests. The chain itself
-      // stays canonical (the QC verified above covers the real body).
-      ledger::TxBlock forged = block;
-      std::vector<types::Transaction> txs = forged.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0xf00dfacef00dfaceULL;
-        for (uint8_t& b : tx.command) b ^= 0x5a;
-      }
-      forged.set_txs(std::move(txs));
-      SendReplies(delivery_.Deliver(forged));
-    } else {
-      SendReplies(delivery_.Deliver(block));
-    }
-    metrics_.committed_txs += static_cast<int64_t>(block.BatchSize());
-    ++metrics_.committed_blocks;
-    metrics_.commit_timeline.Add(Now(),
-                                 static_cast<int64_t>(block.BatchSize()));
+    DeliverBlock(block, QuietActive(Leading()));
     if (!complaints_.empty()) {
       for (const types::Transaction& tx : block.txs()) {
         auto it = complaints_.find(TxKey(tx));
@@ -588,8 +494,8 @@ void PrestigeReplica::MaybeRequestRefresh() {
                        ledger::RefreshDigest(id_, view_));
   auto ref = std::make_shared<RefMsg>();
   ref->v = view_;
-  ref->sig = SignMaybeCorrupt(ledger::ConfDigest(view_));
-  GuardedSend(PeerActors(), ref);
+  ref->sig = SignMaybeCorrupt(Leading(), ledger::ConfDigest(view_));
+  GuardedSend(Leading(), PeerActors(), ref);
 }
 
 void PrestigeReplica::OnRef(runtime::NodeId from, const RefMsg& msg) {
@@ -607,8 +513,9 @@ void PrestigeReplica::OnRef(runtime::NodeId from, const RefMsg& msg) {
   auto reply = std::make_shared<RefReplyMsg>();
   reply->target = requester;
   reply->v = msg.v;
-  reply->partial = SignMaybeCorrupt(ledger::RefreshDigest(requester, msg.v));
-  GuardedSend(from, reply);
+  reply->partial = SignMaybeCorrupt(
+      Leading(), ledger::RefreshDigest(requester, msg.v));
+  GuardedSend(Leading(), from, reply);
 }
 
 void PrestigeReplica::OnRefReply(runtime::NodeId from, const RefReplyMsg& msg) {
@@ -631,8 +538,8 @@ void PrestigeReplica::OnRefReply(runtime::NodeId from, const RefReplyMsg& msg) {
   done->target = id_;
   done->v = view_;
   done->rs_qc = refresh_builder_.Build();
-  done->sig = SignMaybeCorrupt(ledger::RefreshDigest(id_, view_));
-  GuardedSend(PeerActors(), done);
+  done->sig = SignMaybeCorrupt(Leading(), ledger::RefreshDigest(id_, view_));
+  GuardedSend(Leading(), PeerActors(), done);
 }
 
 void PrestigeReplica::OnRdone(runtime::NodeId from, const RdoneMsg& msg) {

@@ -25,17 +25,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/commit_delivery.h"
 #include "core/config.h"
 #include "core/messages.h"
-#include "core/metrics.h"
-#include "core/request_pool.h"
+#include "core/replica_shell.h"
 #include "crypto/keys.h"
 #include "crypto/pow.h"
-#include "ledger/block_store.h"
 #include "reputation/reputation_engine.h"
-#include "runtime/env.h"
-#include "types/adversary.h"
 #include "types/client_messages.h"
 #include "types/ids.h"
 #include "types/fault_spec.h"
@@ -49,27 +44,12 @@ enum class Role { kFollower, kRedeemer, kCandidate, kLeader };
 const char* RoleName(Role role);
 
 /// One PrestigeBFT server as a simulation actor.
-class PrestigeReplica : public runtime::Node {
+class PrestigeReplica : public ReplicaShell {
  public:
   PrestigeReplica(PrestigeConfig config, types::ReplicaId replica_id,
                   const crypto::KeyStore* keys,
                   types::FaultSpec fault = types::FaultSpec::Honest());
   ~PrestigeReplica() override;
-
-  /// Wires actor ids: `replicas[i]` is replica i's actor id; `clients` are
-  /// the client-pool actors to notify on commit.
-  void SetTopology(std::vector<runtime::NodeId> replicas,
-                   std::vector<runtime::NodeId> clients);
-
-  /// Replaces the application service (defaults to app::NullService).
-  void SetService(std::unique_ptr<app::Service> service);
-
-  /// Installs an active-adversary policy (harness wiring only; nullptr =
-  /// honest, the default). The replica consults it at its propose / reply
-  /// / vote / execute sites; see types/adversary.h.
-  void SetAdversary(const types::AdversaryPolicy* adversary) {
-    adversary_ = adversary;
-  }
 
   // runtime::Node interface.
   void OnStart() override;
@@ -85,22 +65,14 @@ class PrestigeReplica : public runtime::Node {
   // Observability.
   Role role() const { return role_; }
   types::View view() const { return view_; }
-  types::ReplicaId replica_id() const { return id_; }
   types::ReplicaId current_leader() const { return leader_; }
   bool IsLeader() const { return role_ == Role::kLeader; }
-  const ledger::BlockStore& store() const { return store_; }
-  const app::Service& service() const { return delivery_.service(); }
-  /// The commit-delivery pipeline (service + client session table).
-  const CommitPipeline& delivery() const { return delivery_; }
-  const ReplicaMetrics& metrics() const { return metrics_; }
-  const types::FaultSpec& fault() const { return fault_; }
   /// Effective current penalty of `id` (vcBlock value + refresh overlay).
   types::Penalty EffectiveRp(types::ReplicaId id) const;
   types::CompensationIndex EffectiveCi(types::ReplicaId id) const;
 
   // Introspection for tests and debugging.
   bool replication_enabled() const { return replication_enabled_; }
-  size_t pending_pool_size() const { return pool_.size(); }
   size_t inflight_instances() const { return instances_.size(); }
   size_t pending_block_count() const { return pending_blocks_.size(); }
   types::View voted_view() const { return voted_view_; }
@@ -181,60 +153,15 @@ class PrestigeReplica : public runtime::Node {
     kAttackProbe = 10,
     kElectionRetry = 11,
   };
-  // Tag packing shared with the baselines and runtime layer
-  // (util/timer_tag.h): 16-bit kind, 48-bit payload.
-  static uint64_t Tag(TimerKind kind, uint64_t payload = 0) {
-    return util::PackTimerTag(kind, payload);
-  }
-  static TimerKind TagKind(uint64_t tag) {
-    return util::TimerTagKind<TimerKind>(tag);
-  }
-  static uint64_t TagPayload(uint64_t tag) {
-    return util::TimerTagPayload(tag);
-  }
 
   static uint64_t TxKey(const types::Transaction& tx) {
     return RequestPool::Key(tx);
   }
-  /// True once `tx` committed here (see CommitPipeline::Executed).
-  bool Decided(const types::Transaction& tx) const {
-    return delivery_.Executed(tx.pool, tx.client_seq);
-  }
 
-  runtime::NodeId ActorOf(types::ReplicaId id) const { return replicas_[id]; }
-  std::vector<runtime::NodeId> PeerActors() const;  ///< All replicas but self.
-
-  /// Send gated by fault behaviour (quiet servers drop all output).
-  void GuardedSend(runtime::NodeId to, runtime::MessagePtr msg);
-  void GuardedSend(const std::vector<runtime::NodeId>& to, runtime::MessagePtr msg);
-
-  /// Signs `digest`, corrupting the MAC when equivocating (F3).
-  crypto::Signature SignMaybeCorrupt(const crypto::Sha256Digest& digest);
-
-  bool QuietActive() const;
-  bool EquivocateActive() const;
-  bool ByzantineActive() const;
-  /// The OnMessage/OnTimer crash gate; PreVerify epilogues re-check it at
-  /// delivery time (the fault may activate between prologue and epilogue).
-  bool CrashedNow() const;
-
-  // Active-adversary queries (all false/0 when no policy is installed).
-  bool AdversaryWedged() const {
-    return adversary_ != nullptr && adversary_->WedgeProposals(id_, Now());
-  }
-  bool AdversaryWithholds(types::ReplicaId target) const {
-    return adversary_ != nullptr &&
-           adversary_->WithholdVote(id_, target, Now());
-  }
-  bool AdversaryTampers() const {
-    return adversary_ != nullptr && adversary_->TamperExecution(id_, Now());
-  }
-  /// Replica index of actor `node`, or id_ when it is not a replica.
-  types::ReplicaId ReplicaIndexOf(runtime::NodeId node) const {
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i] == node) return static_cast<types::ReplicaId>(i);
-    }
-    return id_;
+  /// The "acting as leader" bit of the shell's fault gates: an elected
+  /// leader whose vcBlock reached its vcYes quorum.
+  bool Leading() const {
+    return role_ == Role::kLeader && replication_enabled_;
   }
 
   // ------------------------------------------------------- replication
@@ -263,9 +190,6 @@ class PrestigeReplica : public runtime::Node {
   /// buffered successors.
   void CommitBlock(ledger::TxBlock block);
   void DrainBufferedBlocks();
-  /// Routes per-pool ClientReply messages to their client-pool nodes.
-  void SendReplies(
-      const std::vector<std::shared_ptr<types::ClientReply>>& replies);
   void ResetProgress();
   void ArmProgressTimer();
   util::DurationMicros SampleTimeout();
@@ -337,12 +261,6 @@ class PrestigeReplica : public runtime::Node {
 
   // ------------------------------------------------------------ members
   PrestigeConfig config_;
-  types::ReplicaId id_;
-  const crypto::KeyStore* keys_;
-  crypto::Signer signer_;
-  types::FaultSpec fault_;
-  /// Active-adversary interposer (nullptr = honest; harness-owned).
-  const types::AdversaryPolicy* adversary_ = nullptr;
   /// F4 attacker emulation: the latest client complaint received while
   /// leading, kept as evidence for contesting its own deposition
   /// (kAttackProbe) — the same evidence honest followers hold, minus
@@ -350,12 +268,7 @@ class PrestigeReplica : public runtime::Node {
   types::Transaction attack_complaint_tx_;
   bool has_attack_complaint_ = false;
 
-  std::vector<runtime::NodeId> replicas_;
-  std::vector<runtime::NodeId> clients_;
-
-  ledger::BlockStore store_;
   reputation::ReputationEngine engine_;
-  CommitPipeline delivery_;
   crypto::RealPowSolver real_solver_;
   crypto::ModeledPowSolver modeled_solver_;
 
@@ -373,8 +286,6 @@ class PrestigeReplica : public runtime::Node {
            std::pair<types::Penalty, types::CompensationIndex>>
       refresh_overlay_;
 
-  // Request pool (all replicas buffer; only the leader proposes).
-  RequestPool pool_{delivery_};
   std::map<types::SeqNum, Instance> instances_;
   std::map<types::SeqNum, ledger::TxBlock> ready_blocks_;  ///< Out-of-order.
   types::SeqNum next_seq_ = 1;
@@ -474,8 +385,6 @@ class PrestigeReplica : public runtime::Node {
   // Equivocation guard: digests this replica signed per (view, seq).
   std::map<std::pair<types::View, types::SeqNum>, crypto::Sha256Digest>
       signed_ord_;
-
-  ReplicaMetrics metrics_;
 };
 
 }  // namespace core

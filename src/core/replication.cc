@@ -75,7 +75,7 @@ void PrestigeReplica::Propose(types::TxBatch batch) {
   ord->n = instance.block.n();
   ord->prev_hash = instance.block.prev_hash();
   ord->txs = instance.block.txs();
-  ord->sig = SignMaybeCorrupt(ord_digest);
+  ord->sig = SignMaybeCorrupt(Leading(), ord_digest);
 
   instances_.emplace(instance.block.n(), std::move(instance));
   BroadcastOrd(ord);
@@ -83,7 +83,7 @@ void PrestigeReplica::Propose(types::TxBatch batch) {
 
 void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
   if (adversary_ == nullptr) {
-    GuardedSend(PeerActors(), ord);
+    GuardedSend(Leading(), PeerActors(), ord);
     return;
   }
   // Equivocating leader: each follower group gets its own conflicting but
@@ -114,10 +114,10 @@ void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
       forged->prev_hash = ord->prev_hash;
       forged->txs = block.txs();
       forged->sig = SignMaybeCorrupt(
-          ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
+          Leading(), ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
       vit = variants.emplace(variant, std::move(forged)).first;
     }
-    GuardedSend(replicas_[i], vit->second);
+    GuardedSend(Leading(), replicas_[i], vit->second);
   }
 }
 
@@ -198,8 +198,8 @@ void PrestigeReplica::OnOrd(runtime::NodeId from, const OrdMsg& ord,
   auto reply = std::make_shared<OrdReplyMsg>();
   reply->v = ord.v;
   reply->n = ord.n;
-  reply->partial = SignMaybeCorrupt(ord_digest);
-  GuardedSend(from, reply);
+  reply->partial = SignMaybeCorrupt(Leading(), ord_digest);
+  GuardedSend(Leading(), from, reply);
   ResetProgress();
 }
 
@@ -236,8 +236,8 @@ void PrestigeReplica::OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply)
   cmt->n = instance.block.n();
   cmt->block_digest = block_digest;
   cmt->ordering_qc = instance.block.ordering_qc;
-  cmt->sig = SignMaybeCorrupt(cmt_digest);
-  GuardedSend(PeerActors(), cmt);
+  cmt->sig = SignMaybeCorrupt(Leading(), cmt_digest);
+  GuardedSend(Leading(), PeerActors(), cmt);
 }
 
 // ------------------------------------------------------ follower: phase 2
@@ -297,8 +297,8 @@ void PrestigeReplica::OnCmt(runtime::NodeId from, const CmtMsg& cmt,
   auto reply = std::make_shared<CmtReplyMsg>();
   reply->v = cmt.v;
   reply->n = cmt.n;
-  reply->partial = SignMaybeCorrupt(cmt_digest);
-  GuardedSend(from, reply);
+  reply->partial = SignMaybeCorrupt(Leading(), cmt_digest);
+  GuardedSend(Leading(), from, reply);
   ResetProgress();
 }
 
@@ -334,7 +334,7 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
 
     auto msg = std::make_shared<TxBlockMsg>();
     msg->block = block;
-    GuardedSend(PeerActors(), msg);
+    GuardedSend(Leading(), PeerActors(), msg);
     CommitBlock(std::move(block));
   }
   MaybePropose();
@@ -377,16 +377,6 @@ void PrestigeReplica::DrainBufferedBlocks() {
     ledger::TxBlock block = std::move(it->second);
     buffered_commits_.erase(it);
     CommitBlock(std::move(block));
-  }
-}
-
-void PrestigeReplica::SendReplies(
-    const std::vector<std::shared_ptr<types::ClientReply>>& replies) {
-  if (clients_.empty()) return;
-  for (const auto& reply : replies) {
-    if (reply->pool < clients_.size()) {
-      GuardedSend(clients_[reply->pool], reply);
-    }
   }
 }
 
@@ -518,7 +508,7 @@ void PrestigeReplica::RetransmitStalledInstances() {
       ord->prev_hash = instance.block.prev_hash();
       ord->txs = instance.block.txs();
       ord->sig = SignMaybeCorrupt(
-          ledger::OrderingDigest(instance.block.v, n, digest));
+          Leading(), ledger::OrderingDigest(instance.block.v, n, digest));
       BroadcastOrd(ord);  // Equivocators keep their per-group stories.
     } else {
       auto cmt = std::make_shared<CmtMsg>();
@@ -527,8 +517,8 @@ void PrestigeReplica::RetransmitStalledInstances() {
       cmt->block_digest = digest;
       cmt->ordering_qc = instance.block.ordering_qc;
       cmt->sig = SignMaybeCorrupt(
-          ledger::CommitDigest(instance.block.v, n, digest));
-      GuardedSend(PeerActors(), cmt);
+          Leading(), ledger::CommitDigest(instance.block.v, n, digest));
+      GuardedSend(Leading(), PeerActors(), cmt);
     }
   }
 }

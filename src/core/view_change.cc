@@ -19,15 +19,7 @@ void PrestigeReplica::OnClientComplaint(const runtime::MessagePtr& owner,
                                         const types::ClientComplaint& compt) {
   ++metrics_.complaints_received;
   const uint64_t key = TxKey(compt.tx);
-  if (Decided(compt.tx)) {
-    // Already committed; the client likely missed the replies. Re-serve
-    // the cached execution result from the session table.
-    if (compt.tx.pool < clients_.size()) {
-      GuardedSend(clients_[compt.tx.pool],
-                  delivery_.ReplyFor(compt.tx, view_));
-    }
-    return;
-  }
+  if (ReserveReply(compt.tx, view_, QuietActive(Leading()))) return;
   auto existing = complaints_.find(key);
   if (existing != complaints_.end()) {
     // Re-complaint: if the previous escalation fizzled, watch again.
@@ -54,8 +46,8 @@ void PrestigeReplica::OnClientComplaint(const runtime::MessagePtr& owner,
   }
   auto relay = std::make_shared<ComptRelayMsg>();
   relay->tx = compt.tx;
-  relay->sig = SignMaybeCorrupt(compt.tx.Digest());
-  GuardedSend(ActorOf(leader_), relay);
+  relay->sig = SignMaybeCorrupt(Leading(), compt.tx.Digest());
+  GuardedSend(Leading(), ActorOf(leader_), relay);
 
   ComplaintState state;
   state.tx = compt.tx;
@@ -154,8 +146,8 @@ void PrestigeReplica::StartInspection(VcReason reason,
   conf->v = view_;
   conf->reason = reason;
   if (tx != nullptr) conf->tx = *tx;
-  conf->sig = SignMaybeCorrupt(conf_digest);
-  GuardedSend(PeerActors(), conf);
+  conf->sig = SignMaybeCorrupt(Leading(), conf_digest);
+  GuardedSend(Leading(), PeerActors(), conf);
 
   if (inspection_timer_ != 0) CancelTimer(inspection_timer_);
   inspection_timer_ =
@@ -199,8 +191,8 @@ void PrestigeReplica::OnConfVc(runtime::NodeId from, const ConfVcMsg& msg,
 
   auto reply = std::make_shared<ReVcMsg>();
   reply->v = msg.v;
-  reply->partial = SignMaybeCorrupt(ledger::ConfDigest(msg.v));
-  GuardedSend(from, reply);
+  reply->partial = SignMaybeCorrupt(Leading(), ledger::ConfDigest(msg.v));
+  GuardedSend(Leading(), from, reply);
 
   // We endorsed this view change; stand down our own campaign plans long
   // enough for the initiator's election to complete.
@@ -414,8 +406,8 @@ void PrestigeReplica::BecomeCandidate() {
   }
   camp->latest_n = campaign_latest_n_;
   camp->latest_vc_view = view_;
-  camp->sig = SignMaybeCorrupt(CampaignDigest(*camp));
-  GuardedSend(PeerActors(), camp);
+  camp->sig = SignMaybeCorrupt(Leading(), CampaignDigest(*camp));
+  GuardedSend(Leading(), PeerActors(), camp);
 
   if (election_timer_ != 0) CancelTimer(election_timer_);
   election_timer_ = SetTimer(config_.election_timeout, Tag(kElectionTimeout));
@@ -543,8 +535,9 @@ void PrestigeReplica::OnCamp(runtime::NodeId from, const CampMsg& camp,
   vote->v_new = camp.v_new;
   vote->candidate = camp.sig.signer;
   vote->partial =
-      SignMaybeCorrupt(ledger::VoteDigest(camp.v_new, camp.sig.signer));
-  GuardedSend(from, vote);
+      SignMaybeCorrupt(Leading(),
+                       ledger::VoteDigest(camp.v_new, camp.sig.signer));
+  GuardedSend(Leading(), from, vote);
 }
 
 void PrestigeReplica::OnVoteCp(runtime::NodeId from, const VoteCpMsg& vote,
@@ -605,7 +598,7 @@ void PrestigeReplica::BecomeLeaderOfView() {
 
   auto msg = std::make_shared<VcBlockMsg>();
   msg->block = block;
-  GuardedSend(PeerActors(), msg);
+  GuardedSend(Leading(), PeerActors(), msg);
 
   util::Status st = store_.AppendVcBlock(block);
   assert(st.ok());
@@ -668,8 +661,9 @@ void PrestigeReplica::OnVcBlockMsg(runtime::NodeId from, const VcBlockMsg& msg) 
   auto yes = std::make_shared<VcYesMsg>();
   yes->v = block.v();
   yes->latest_n = store_.LatestTxSeq();
-  yes->partial = SignMaybeCorrupt(ledger::VcYesDigest(block.Digest()));
-  GuardedSend(from, yes);
+  yes->partial =
+      SignMaybeCorrupt(Leading(), ledger::VcYesDigest(block.Digest()));
+  GuardedSend(Leading(), from, yes);
 
   InstallVcBlock(block, /*as_leader=*/false);
 }
