@@ -33,7 +33,7 @@ crypto::Sha256Digest HsVoteDigest(HsPhase phase, types::View v,
 HotStuffReplica::HotStuffReplica(HotStuffConfig config, types::ReplicaId id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : ReplicaShell(id, keys, fault), config_(config) {}
+    : ReplicaShell(id, keys, fault, config.batch_size), config_(config) {}
 
 void HotStuffReplica::OnStart() {
   view_ = 1;

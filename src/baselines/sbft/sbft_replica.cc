@@ -18,7 +18,7 @@ crypto::Sha256Digest SbStageDigest(int stage, types::View v, types::SeqNum n,
 SbftReplica::SbftReplica(SbftConfig config, types::ReplicaId id,
                          const crypto::KeyStore* keys,
                          types::FaultSpec fault)
-    : ReplicaShell(id, keys, fault), config_(config) {}
+    : ReplicaShell(id, keys, fault, config.batch_size), config_(config) {}
 
 void SbftReplica::OnStart() {
   view_ = 1;

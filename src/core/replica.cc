@@ -30,7 +30,7 @@ PrestigeReplica::PrestigeReplica(PrestigeConfig config,
                                  types::ReplicaId replica_id,
                                  const crypto::KeyStore* keys,
                                  types::FaultSpec fault)
-    : ReplicaShell(replica_id, keys, fault),
+    : ReplicaShell(replica_id, keys, fault, config.batch_size),
       config_(config),
       engine_(config.reputation),
       modeled_solver_(config.pow) {}
@@ -442,11 +442,6 @@ util::Status PrestigeReplica::ValidateAndAppendTxBlock(
           ResolveComplaint(it);
         }
       }
-    }
-    // Amortized prune: committed entries linger in the request pool until
-    // proposal time; rebuild the pool occasionally to bound its size.
-    if (pool_.size() > 8 * config_.batch_size + 1024) {
-      pool_.PruneDecided();
     }
   }
   return st;

@@ -9,8 +9,13 @@ namespace prestige {
 namespace core {
 
 ReplicaShell::ReplicaShell(types::ReplicaId id, const crypto::KeyStore* keys,
-                           types::FaultSpec fault)
-    : id_(id), keys_(keys), signer_(keys, id), fault_(fault), delivery_(id) {}
+                           types::FaultSpec fault, size_t batch_size)
+    : id_(id),
+      keys_(keys),
+      signer_(keys, id),
+      fault_(fault),
+      delivery_(id),
+      prune_above_(8 * batch_size + 1024) {}
 
 void ReplicaShell::SetTopology(std::vector<runtime::NodeId> replicas,
                                std::vector<runtime::NodeId> clients) {
@@ -112,6 +117,10 @@ void ReplicaShell::DeliverBlock(const ledger::TxBlock& block, bool quiet) {
   metrics_.committed_txs += txs;
   ++metrics_.committed_blocks;
   metrics_.commit_timeline.Add(Now(), txs);
+  // Amortised prune: decided requests linger in the pool until a leader's
+  // Take skips them, and a follower never takes. Rebuild the pool once it
+  // outgrows the bound, so every replica's pool stays bounded.
+  if (pool_.size() > prune_above_) pool_.PruneDecided();
 }
 
 bool ReplicaShell::ReserveReply(const types::Transaction& tx,

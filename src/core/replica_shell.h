@@ -11,7 +11,7 @@
 //  * the crash gate, the adversary queries, and the F2/F3 gates
 //    (QuietActive, EquivocateActive, GuardedSend, SignMaybeCorrupt);
 //  * the commit step, DeliverBlock: execute a decided block, reply to its
-//    clients, count it;
+//    clients, count it, and keep the request pool bounded;
 //  * re-serving a cached reply to a complaint about an executed request.
 //
 // Everything else is protocol logic and stays in the protocol: phases,
@@ -73,8 +73,10 @@ class ReplicaShell : public runtime::Node {
   size_t pending_pool_size() const { return pool_.size(); }
 
  protected:
+  /// `batch_size` is the protocol's proposal batch; it sets the request
+  /// pool's prune bound.
   ReplicaShell(types::ReplicaId id, const crypto::KeyStore* keys,
-               types::FaultSpec fault);
+               types::FaultSpec fault, size_t batch_size);
 
   // Timer tags: 16-bit kind, 48-bit payload (util/timer_tag.h). Each
   // protocol keeps its own TimerKind enum.
@@ -132,8 +134,9 @@ class ReplicaShell : public runtime::Node {
   /// The commit step, run once per decided block in chain order: executes
   /// `block` exactly once per request through the commit pipeline (a
   /// tampered copy while the adversary forges results), sends the per-pool
-  /// replies unless `quiet`, and counts the commit. Appending to the store
-  /// stays with the caller.
+  /// replies unless `quiet`, counts the commit, and prunes the request pool
+  /// once it holds more than 8 × batch_size + 1024 requests. Appending to
+  /// the store stays with the caller.
   void DeliverBlock(const ledger::TxBlock& block, bool quiet);
 
   /// A complaint about `tx`: if it already executed here the client missed
@@ -157,6 +160,8 @@ class ReplicaShell : public runtime::Node {
   CommitPipeline delivery_;
   /// Every replica buffers every request; only the leader proposes.
   RequestPool pool_{delivery_};
+  /// DeliverBlock prunes decided requests once the pool grows past this.
+  size_t prune_above_;
   ReplicaMetrics metrics_;
 };
 

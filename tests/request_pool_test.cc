@@ -2,16 +2,21 @@
 // references the storage requests arrived in (and keeps it alive), skips
 // and prunes decided requests through CommitPipeline::Executed, and a
 // long in-order run leaves every replica's decided state at one floor per
-// pool with nothing retained per request.
+// pool with nothing retained per request. A follower's pool stays bounded
+// under sustained load in all three protocols.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "baselines/hotstuff/hotstuff_replica.h"
+#include "baselines/sbft/sbft_replica.h"
 #include "core/commit_delivery.h"
 #include "core/replica.h"
 #include "core/request_pool.h"
+#include "harness/cluster.h"
 #include "runtime/sim_env.h"
 #include "sim/actor.h"
 #include "sim/network.h"
@@ -335,6 +340,55 @@ TEST_F(DecidedStateTest, InOrderRunLeavesOneFloorPerPool) {
     EXPECT_EQ(replicas_[i]->delivery().sessions().SparseCount(0), 0u);
   }
   EXPECT_EQ(replicas_[0]->pending_pool_size(), 0u);
+}
+
+// ---------------------------------------------- follower pool stays bounded
+
+template <typename R, typename C>
+struct Protocol {
+  using Replica = R;
+  using Config = C;
+};
+
+template <typename P>
+class FollowerPoolTest : public ::testing::Test {};
+
+using Protocols = ::testing::Types<
+    Protocol<PrestigeReplica, PrestigeConfig>,
+    Protocol<baselines::hotstuff::HotStuffReplica,
+             baselines::hotstuff::HotStuffConfig>,
+    Protocol<baselines::sbft::SbftReplica, baselines::sbft::SbftConfig>>;
+TYPED_TEST_SUITE(FollowerPoolTest, Protocols);
+
+// Every replica pools every request, but only the leader takes from its
+// pool. A follower's pool stays bounded only because the commit step
+// prunes decided requests once the pool holds more than
+// 8 × batch_size + 1024 of them.
+TYPED_TEST(FollowerPoolTest, StaysBoundedUnderSaturatingLoad) {
+  typename TypeParam::Config config;
+  config.n = 4;
+  config.batch_size = 100;
+  const int64_t bound = 8 * static_cast<int64_t>(config.batch_size) + 1024;
+  harness::WorkloadOptions workload;
+  workload.num_pools = 4;
+  workload.clients_per_pool = 100;
+  harness::Cluster<typename TypeParam::Replica, typename TypeParam::Config>
+      cluster(config, workload);
+  cluster.Start();
+
+  int64_t peak = 0;
+  for (int second = 0; second < 60 && cluster.ClientCommitted() <= 10 * bound;
+       ++second) {
+    cluster.RunFor(util::Seconds(1));
+    for (uint32_t i = 0; i < config.n; ++i) {
+      const auto& replica = cluster.replica(i);
+      if (replica.IsLeader()) continue;
+      peak = std::max(peak,
+                      static_cast<int64_t>(replica.pending_pool_size()));
+    }
+  }
+  ASSERT_GT(cluster.ClientCommitted(), 10 * bound);
+  EXPECT_LT(peak, 2 * bound);
 }
 
 }  // namespace
