@@ -180,6 +180,12 @@ class PrestigeReplica : public ReplicaShell {
   void OnOrd(runtime::NodeId from, const OrdMsg& ord,
              OrdMsg::Verified* pre = nullptr);
   void OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply);
+  /// The leader's phase transitions, run when a quorum builder completes:
+  /// from a peer's reply or, with a quorum of one, from the leader's own
+  /// partial. Each is the last use of `it`; the commit step erases it.
+  using InstanceIt = std::map<types::SeqNum, Instance>::iterator;
+  void OrderingQuorumFormed(InstanceIt it);
+  void CommitQuorumFormed(InstanceIt it);
   void OnCmt(runtime::NodeId from, const CmtMsg& cmt,
              const CmtMsg::Verified* pre = nullptr);
   void OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply);

@@ -77,8 +77,10 @@ void PrestigeReplica::Propose(types::TxBatch batch) {
   ord->txs = instance.block.txs();
   ord->sig = SignMaybeCorrupt(Leading(), ord_digest);
 
-  instances_.emplace(instance.block.n(), std::move(instance));
+  auto it = instances_.emplace(instance.block.n(), std::move(instance)).first;
   BroadcastOrd(ord);
+  // A quorum of one (n < 4) is formed by the leader's own partial.
+  if (it->second.ord_builder.Complete()) OrderingQuorumFormed(it);
 }
 
 void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
@@ -218,9 +220,12 @@ void PrestigeReplica::OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply)
     return;
   }
   instance.ord_builder.Add(reply.partial, ord_digest);
-  if (!instance.ord_builder.Complete()) return;
+  if (instance.ord_builder.Complete()) OrderingQuorumFormed(it);
+}
 
+void PrestigeReplica::OrderingQuorumFormed(InstanceIt it) {
   // ordering_QC formed: enter phase 2.
+  Instance& instance = it->second;
   instance.ordered = true;
   instance.last_broadcast_at = Now();  // The Cmt broadcast below.
   instance.block.ordering_qc = instance.ord_builder.Build();
@@ -238,6 +243,7 @@ void PrestigeReplica::OnOrdReply(runtime::NodeId from, const OrdReplyMsg& reply)
   cmt->ordering_qc = instance.block.ordering_qc;
   cmt->sig = SignMaybeCorrupt(Leading(), cmt_digest);
   GuardedSend(Leading(), PeerActors(), cmt);
+  if (instance.cmt_builder.Complete()) CommitQuorumFormed(it);
 }
 
 // ------------------------------------------------------ follower: phase 2
@@ -318,11 +324,16 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
   }
   instance.cmt_builder.Add(reply.partial, cmt_digest);
   if (!instance.cmt_builder.Complete()) return;
+  CommitQuorumFormed(it);
+  MaybePropose();
+}
 
+void PrestigeReplica::CommitQuorumFormed(InstanceIt it) {
   // commit_QC formed: the block is decided.
+  Instance& instance = it->second;
   instance.done = true;
   instance.block.commit_qc = instance.cmt_builder.Build();
-  ready_blocks_.emplace(reply.n, std::move(instance.block));
+  ready_blocks_.emplace(it->first, std::move(instance.block));
   instances_.erase(it);
 
   // Commit strictly in sequence order (QCs may complete out of order).
@@ -337,7 +348,6 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
     GuardedSend(Leading(), PeerActors(), msg);
     CommitBlock(std::move(block));
   }
-  MaybePropose();
 }
 
 // ----------------------------------------------------------------- commit

@@ -8,6 +8,7 @@
 #include "app/kv_service.h"
 #include "core/replica.h"
 #include "harness/cluster.h"
+#include "harness/invariants.h"
 
 namespace prestige {
 namespace core {
@@ -298,6 +299,31 @@ TEST(PrestigeIntegrationTest, LargerClusterCommitsAndHandlesCrash) {
   EXPECT_EQ(leaders, 1);
   EXPECT_GT(cluster.ClientCommitted(), 100);
   ExpectConsistentChains(cluster);
+}
+
+TEST(PrestigeIntegrationTest, SingleReplicaCommits) {
+  // n = 1: every quorum is the leader's own partial, so a block is ordered
+  // and committed the moment it is proposed.
+  PrestigeCluster cluster(SmallConfig(/*n=*/1), SmallWorkload());
+  cluster.Start();
+  cluster.RunFor(Seconds(3));
+
+  const PrestigeReplica& replica = cluster.replica(0);
+  EXPECT_GT(cluster.ClientCommitted(), 1000);
+  EXPECT_EQ(replica.view(), 1);
+  EXPECT_EQ(replica.inflight_instances(), 0u);
+  const auto& chain = replica.store().tx_chain();
+  ASSERT_GT(chain.size(), 5u);
+  EXPECT_EQ(replica.metrics().committed_blocks,
+            static_cast<int64_t>(chain.size()));
+  crypto::Sha256Digest prev{};
+  for (size_t k = 0; k < chain.size(); ++k) {
+    ASSERT_EQ(chain[k].n(), static_cast<types::SeqNum>(k + 1));
+    ASSERT_EQ(chain[k].prev_hash(), prev) << "broken link at block " << k;
+    ASSERT_EQ(chain[k].commit_qc.partials.size(), 1u);
+    prev = chain[k].Digest();
+  }
+  EXPECT_TRUE(harness::CheckSafety(cluster).ok);
 }
 
 TEST(PrestigeIntegrationTest, DeterministicRuns) {
