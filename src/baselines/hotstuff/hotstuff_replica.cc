@@ -184,35 +184,21 @@ void HotStuffReplica::MaybePropose(bool allow_partial) {
   proposal->v = view_;
   proposal->block = current_block_;
   proposal->sig = SignMaybeCorrupt(IsLeader(), vote_digest);
-  if (adversary_ == nullptr) {
-    GuardedSend(IsLeader(), PeerActors(), proposal);
-    return;
-  }
-  // Equivocating leader: conflicting, properly signed bodies per follower
-  // group (variant 0 = the canonical body the leader's own vote covers).
-  std::map<uint32_t, std::shared_ptr<HsProposalMsg>> variants;
-  variants.emplace(0u, proposal);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      auto forged = std::make_shared<HsProposalMsg>();
-      forged->v = view_;
-      forged->block = current_block_;
-      std::vector<types::Transaction> txs = forged->block.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      forged->block.set_txs(std::move(txs));
-      forged->sig = SignMaybeCorrupt(
-          IsLeader(), HsVoteDigest(HsPhase::kPrepare, view_, forged->block.n(),
-                                   forged->block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
+  // An equivocating leader sends each follower group its own variant.
+  BroadcastProposal(proposal, QuietActive(IsLeader()), [&](uint32_t variant) {
+    auto forged = std::make_shared<HsProposalMsg>();
+    forged->v = view_;
+    forged->block = current_block_;
+    std::vector<types::Transaction> txs = forged->block.release_txs();
+    for (types::Transaction& tx : txs) {
+      tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
     }
-    GuardedSend(IsLeader(), replicas_[i], vit->second);
-  }
+    forged->block.set_txs(std::move(txs));
+    forged->sig = SignMaybeCorrupt(
+        IsLeader(), HsVoteDigest(HsPhase::kPrepare, view_, forged->block.n(),
+                                 forged->block.Digest()));
+    return forged;
+  });
 }
 
 void HotStuffReplica::OnProposal(runtime::NodeId from, const HsProposalMsg& msg,

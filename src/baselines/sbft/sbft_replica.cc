@@ -111,35 +111,21 @@ void SbftReplica::MaybePropose(bool allow_partial) {
   pp->block = current_block_;
   pp->crypto_weight = config_.crypto_weight;
   pp->sig = signer_.Sign(stage_digest);
-  if (adversary_ == nullptr) {
-    Send(PeerActors(), pp);
-    return;
-  }
-  // Equivocating leader: conflicting, properly signed bodies per follower
-  // group (variant 0 = the canonical body the leader's own share covers).
-  std::map<uint32_t, std::shared_ptr<SbPrePrepareMsg>> variants;
-  variants.emplace(0u, pp);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      auto forged = std::make_shared<SbPrePrepareMsg>();
-      forged->v = view_;
-      forged->block = current_block_;
-      forged->crypto_weight = config_.crypto_weight;
-      std::vector<types::Transaction> txs = forged->block.release_txs();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      forged->block.set_txs(std::move(txs));
-      forged->sig = signer_.Sign(
-          SbStageDigest(0, view_, forged->block.n(), forged->block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
+  // An equivocating leader sends each follower group its own variant.
+  BroadcastProposal(pp, /*quiet=*/false, [&](uint32_t variant) {
+    auto forged = std::make_shared<SbPrePrepareMsg>();
+    forged->v = view_;
+    forged->block = current_block_;
+    forged->crypto_weight = config_.crypto_weight;
+    std::vector<types::Transaction> txs = forged->block.release_txs();
+    for (types::Transaction& tx : txs) {
+      tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
     }
-    Send(replicas_[i], vit->second);
-  }
+    forged->block.set_txs(std::move(txs));
+    forged->sig = signer_.Sign(
+        SbStageDigest(0, view_, forged->block.n(), forged->block.Digest()));
+    return forged;
+  });
 }
 
 void SbftReplica::ExecuteBlock(ledger::TxBlock block) {

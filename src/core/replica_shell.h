@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -130,6 +131,32 @@ class ReplicaShell : public runtime::Node {
   /// Signs `digest`, corrupting the MAC when equivocating (F3).
   crypto::Signature SignMaybeCorrupt(bool leading,
                                      const crypto::Sha256Digest& digest);
+
+  /// Sends a leader's proposal to every peer, unless `quiet`. Under an
+  /// installed adversary each peer gets the variant the policy assigns it
+  /// (types::AdversaryPolicy::ProposalVariant): variant 0 is `canonical`,
+  /// the body the leader's own vote covers; `forge(v)` builds each other
+  /// variant once, a conflicting but properly signed body.
+  template <typename Msg, typename Forge>
+  void BroadcastProposal(const std::shared_ptr<Msg>& canonical, bool quiet,
+                         Forge forge) {
+    if (adversary_ == nullptr) {
+      if (!quiet) Send(PeerActors(), canonical);
+      return;
+    }
+    std::map<uint32_t, std::shared_ptr<Msg>> variants;
+    variants.emplace(0u, canonical);
+    for (size_t i = 0; i < replicas_.size(); ++i) {
+      const auto dest = static_cast<types::ReplicaId>(i);
+      if (dest == id_) continue;
+      const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
+      auto it = variants.find(variant);
+      if (it == variants.end()) {
+        it = variants.emplace(variant, forge(variant)).first;
+      }
+      if (!quiet) Send(replicas_[i], it->second);
+    }
+  }
 
   /// The commit step, run once per decided block in chain order: executes
   /// `block` exactly once per request through the commit pipeline (a

@@ -84,43 +84,28 @@ void PrestigeReplica::Propose(types::TxBatch batch) {
 }
 
 void PrestigeReplica::BroadcastOrd(const std::shared_ptr<OrdMsg>& ord) {
-  if (adversary_ == nullptr) {
-    GuardedSend(Leading(), PeerActors(), ord);
-    return;
-  }
-  // Equivocating leader: each follower group gets its own conflicting but
-  // properly signed body (variant 0 = the canonical body the leader's own
-  // ordering signature covers). Perturbing every transaction fingerprint
-  // changes the block digest while keeping the batch well-formed.
-  std::map<uint32_t, std::shared_ptr<OrdMsg>> variants;
-  variants.emplace(0u, ord);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    const auto dest = static_cast<types::ReplicaId>(i);
-    if (dest == id_) continue;
-    const uint32_t variant = adversary_->ProposalVariant(id_, dest, Now());
-    auto vit = variants.find(variant);
-    if (vit == variants.end()) {
-      ledger::TxBlock block;
-      block.v = ord->v;
-      block.set_n(ord->n);
-      block.set_prev_hash(ord->prev_hash);
-      std::vector<types::Transaction> txs = ord->txs.ToVector();
-      for (types::Transaction& tx : txs) {
-        tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
-      }
-      block.set_txs(std::move(txs));
-      block.status.assign(block.BatchSize(), 1);
-      auto forged = std::make_shared<OrdMsg>();
-      forged->v = ord->v;
-      forged->n = ord->n;
-      forged->prev_hash = ord->prev_hash;
-      forged->txs = block.txs();
-      forged->sig = SignMaybeCorrupt(
-          Leading(), ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
-      vit = variants.emplace(variant, std::move(forged)).first;
+  // Equivocating leader: perturbing every transaction fingerprint changes
+  // the block digest while keeping the batch well-formed.
+  BroadcastProposal(ord, QuietActive(Leading()), [&](uint32_t variant) {
+    ledger::TxBlock block;
+    block.v = ord->v;
+    block.set_n(ord->n);
+    block.set_prev_hash(ord->prev_hash);
+    std::vector<types::Transaction> txs = ord->txs.ToVector();
+    for (types::Transaction& tx : txs) {
+      tx.fingerprint ^= 0x9e3779b97f4a7c15ULL * variant;
     }
-    GuardedSend(Leading(), replicas_[i], vit->second);
-  }
+    block.set_txs(std::move(txs));
+    block.status.assign(block.BatchSize(), 1);
+    auto forged = std::make_shared<OrdMsg>();
+    forged->v = ord->v;
+    forged->n = ord->n;
+    forged->prev_hash = ord->prev_hash;
+    forged->txs = block.txs();
+    forged->sig = SignMaybeCorrupt(
+        Leading(), ledger::OrderingDigest(ord->v, ord->n, block.Digest()));
+    return forged;
+  });
 }
 
 // ------------------------------------------------------ follower: phase 1
