@@ -1,6 +1,7 @@
-// PrestigeReplica: construction, message dispatch, SyncUp, refresh, and
-// shared helpers. Replication logic lives in replication.cc; the active
-// view-change protocol in view_change.cc.
+// PrestigeReplica: construction, message dispatch, SyncUp and refresh.
+// Replication logic lives in replication.cc; the active view-change
+// protocol in view_change.cc; the plumbing shared with the baselines in
+// replica_shell.cc.
 
 #include "core/replica.h"
 

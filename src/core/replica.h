@@ -12,8 +12,9 @@
 // driven by a types::FaultSpec and implemented at clearly marked
 // decision points; honest replicas take none of those branches.
 //
-// Implementation is split across replica.cc (dispatch, sync, shared
-// helpers), replication.cc (§4.3), and view_change.cc (§4.2).
+// Implementation is split across replica.cc (dispatch, sync, refresh),
+// replication.cc (§4.3), and view_change.cc (§4.2); the plumbing shared
+// with the baselines lives in ReplicaShell (replica_shell.h).
 
 #ifndef PRESTIGE_CORE_REPLICA_H_
 #define PRESTIGE_CORE_REPLICA_H_
@@ -114,13 +115,13 @@ class PrestigeReplica : public ReplicaShell {
  private:
   // ------------------------------------------------------------ plumbing
 
-  /// Leader-side state of one in-flight replication instance.
+  /// Leader-side state of one in-flight replication instance; it leaves
+  /// instances_ as soon as its commit_QC forms.
   struct Instance {
     ledger::TxBlock block;
     crypto::QuorumCertBuilder ord_builder;
     crypto::QuorumCertBuilder cmt_builder;
     bool ordered = false;  ///< ordering_QC complete, Cmt broadcast.
-    bool done = false;     ///< commit_QC complete.
     /// Last Ord/Cmt broadcast for this instance (stalled-instance
     /// retransmits refresh it, giving a per-instance rebroadcast interval).
     util::TimeMicros last_broadcast_at = 0;

@@ -299,7 +299,7 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
   (void)from;
   if (role_ != Role::kLeader || reply.v != view_) return;
   auto it = instances_.find(reply.n);
-  if (it == instances_.end() || !it->second.ordered || it->second.done) return;
+  if (it == instances_.end() || !it->second.ordered) return;
   Instance& instance = it->second;
 
   const crypto::Sha256Digest cmt_digest = instance.cmt_builder.digest();
@@ -316,7 +316,6 @@ void PrestigeReplica::OnCmtReply(runtime::NodeId from, const CmtReplyMsg& reply)
 void PrestigeReplica::CommitQuorumFormed(InstanceIt it) {
   // commit_QC formed: the block is decided.
   Instance& instance = it->second;
-  instance.done = true;
   instance.block.commit_qc = instance.cmt_builder.Build();
   ready_blocks_.emplace(it->first, std::move(instance.block));
   instances_.erase(it);
@@ -491,7 +490,7 @@ void PrestigeReplica::RetransmitStalledInstances() {
   if (AdversaryWedged()) return;  // Wedged leaders never retransmit.
   const util::DurationMicros stall_age = config_.timeout_min / 3;
   for (auto& [n, instance] : instances_) {
-    if (instance.done || Now() - instance.last_broadcast_at < stall_age) {
+    if (Now() - instance.last_broadcast_at < stall_age) {
       continue;
     }
     instance.last_broadcast_at = Now();
