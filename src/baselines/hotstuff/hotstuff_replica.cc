@@ -473,7 +473,7 @@ void HotStuffReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr&
     ++metrics_.complaints_received;
     // Already executed: the client missed the replies; re-serve the cached
     // result. Otherwise pool the request and propose it.
-    if (ReserveReply(m->tx, view_, QuietActive(IsLeader()))) return;
+    if (ServeCachedReply(m->tx, view_, QuietActive(IsLeader()))) return;
     pool_.Enqueue(msg, m->tx);
     MaybePropose(/*allow_partial=*/true);
     return;

@@ -274,7 +274,7 @@ void SbftReplica::OnMessage(runtime::NodeId from, const runtime::MessagePtr& msg
           dynamic_cast<const types::ClientComplaint*>(msg.get())) {
     // Already executed: re-serve the cached reply (the client missed the
     // originals) instead of dropping the complaint.
-    if (ReserveReply(m->tx, view_, /*quiet=*/false)) return;
+    if (ServeCachedReply(m->tx, view_, /*quiet=*/false)) return;
     pool_.Enqueue(msg, m->tx);
     MaybePropose(true);
     return;

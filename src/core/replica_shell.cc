@@ -123,8 +123,8 @@ void ReplicaShell::DeliverBlock(const ledger::TxBlock& block, bool quiet) {
   if (pool_.size() > prune_above_) pool_.PruneDecided();
 }
 
-bool ReplicaShell::ReserveReply(const types::Transaction& tx,
-                                types::View view, bool quiet) {
+bool ReplicaShell::ServeCachedReply(const types::Transaction& tx,
+                                    types::View view, bool quiet) {
   if (!Decided(tx)) return false;
   if (!quiet && tx.pool < clients_.size()) {
     Send(clients_[tx.pool], delivery_.ReplyFor(tx, view));

@@ -12,7 +12,8 @@
 //    (QuietActive, EquivocateActive, GuardedSend, SignMaybeCorrupt);
 //  * the commit step, DeliverBlock: execute a decided block, reply to its
 //    clients, count it, and keep the request pool bounded;
-//  * re-serving a cached reply to a complaint about an executed request.
+//  * re-serving a cached reply to a complaint about an executed request;
+//  * the equivocating leader's per-group proposal fan-out.
 //
 // Everything else is protocol logic and stays in the protocol: phases,
 // QCs, views, the per-sequence binding maps, PreVerify, and PrestigeBFT's
@@ -170,8 +171,8 @@ class ReplicaShell : public runtime::Node {
   /// the replies, so the cached one is re-served (unless `quiet`) and this
   /// returns true. Returns false, sending nothing, for a request not yet
   /// executed.
-  bool ReserveReply(const types::Transaction& tx, types::View view,
-                    bool quiet);
+  bool ServeCachedReply(const types::Transaction& tx, types::View view,
+                        bool quiet);
 
   types::ReplicaId id_;
   const crypto::KeyStore* keys_;

@@ -19,7 +19,7 @@ void PrestigeReplica::OnClientComplaint(const runtime::MessagePtr& owner,
                                         const types::ClientComplaint& compt) {
   ++metrics_.complaints_received;
   const uint64_t key = TxKey(compt.tx);
-  if (ReserveReply(compt.tx, view_, QuietActive(Leading()))) return;
+  if (ServeCachedReply(compt.tx, view_, QuietActive(Leading()))) return;
   auto existing = complaints_.find(key);
   if (existing != complaints_.end()) {
     // Re-complaint: if the previous escalation fizzled, watch again.
