@@ -82,6 +82,7 @@
 #include "app/kv_service.h"
 #include "bench/bench_util.h"
 #include "crypto/sha256.h"
+#include "harness/process_cluster.h"
 #include "harness/scenario.h"
 #include "harness/scenario_runner.h"
 #include "harness/sharded_runner.h"
@@ -683,28 +684,8 @@ ScenarioResult RunDeclarative(const harness::ScenarioSpec& spec) {
           static_cast<unsigned long long>(c.header_drops + c.length_drops +
                                           c.checksum_drops + c.frag_drops +
                                           c.decode_drops));
-      char nbuf[640];
-      std::snprintf(
-          nbuf, sizeof(nbuf),
-          "    \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
-          "      \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
-          "      \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
-          "      \"checksum_drops\": %llu, \"length_drops\": %llu,\n"
-          "      \"frag_drops\": %llu, \"decode_drops\": %llu,\n"
-          "      \"send_errors\": %llu, \"unserializable_drops\": %llu}",
-          static_cast<unsigned long long>(c.frames_sent),
-          static_cast<unsigned long long>(c.frames_received),
-          static_cast<unsigned long long>(c.messages_assembled),
-          static_cast<unsigned long long>(c.seq_gaps),
-          static_cast<unsigned long long>(c.seq_out_of_order),
-          static_cast<unsigned long long>(c.header_drops),
-          static_cast<unsigned long long>(c.checksum_drops),
-          static_cast<unsigned long long>(c.length_drops),
-          static_cast<unsigned long long>(c.frag_drops),
-          static_cast<unsigned long long>(c.decode_drops),
-          static_cast<unsigned long long>(c.send_errors),
-          static_cast<unsigned long long>(c.unserializable_drops));
-      result.extra_json += BackendBlockJson("socket", sr, nbuf);
+      result.extra_json += BackendBlockJson(
+          "socket", sr, "    \"net\": " + harness::FrameCountersJson(c));
     }
   }
   return result;

@@ -30,6 +30,7 @@ void SbftReplica::OnStart() {
 }
 
 void SbftReplica::OnTimer(uint64_t tag) {
+  if (CrashedNow()) return;
   switch (TagKind<TimerKind>(tag)) {
     case kViewTimer:
       // Passive rotation on timeout (fast path only — dual paths and view

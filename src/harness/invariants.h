@@ -16,6 +16,11 @@
 //     suppressed equals the transactions in its committed chain (nothing
 //     double-executed, nothing skipped).
 //
+// The checks run over per-replica LedgerReports, so one sweep
+// (LedgerSweep) serves every deployment: in-process clusters build the
+// reports from replica objects, multi-process clusters
+// (harness/process_cluster.h) parse them from prestige_node's status.
+//
 // Byzantine replicas are excluded: an equivocator's or forger's local
 // bookkeeping carries no safety obligation. The exclusion set is the
 // union of the FaultSpec cast (crash excluded — crashed replicas are
@@ -37,7 +42,7 @@
 
 #include "ledger/block_store.h"
 #include "shard/router.h"
-#include "util/hex.h"
+#include "types/fault_spec.h"
 
 namespace prestige {
 namespace harness {
@@ -52,119 +57,96 @@ struct SafetyReport {
   int64_t duplicates_total = 0;  ///< Session-table dedup hits, ditto.
 };
 
-/// Checks chain agreement across every honest replica of `cluster`. Works
-/// for any Cluster<Replica, Config> whose Replica exposes store() and
-/// fault() (PrestigeBFT, HotStuff, and SBFT all do). `byzantine` marks
-/// replicas excluded from every agreement check in addition to the
-/// FaultSpec-derived exclusions; indices beyond its size count as honest.
-template <typename Cluster>
-SafetyReport CheckSafety(const Cluster& cluster,
-                         const std::vector<bool>& byzantine) {
-  SafetyReport report;
-  // Reference chain per height: (digest, owner) of the first honest
-  // replica seen holding that height.
+/// What the safety sweep reads of one replica: its committed txBlock chain
+/// as (n, full digest, tx count) and its execution counters. In-process
+/// sweeps build it from the replica object; prestige_node builds it with
+/// the same function and ships it in its status report.
+struct LedgerReport {
+  struct Block {
+    types::SeqNum n = 0;
+    crypto::Sha256Digest digest{};
+    int64_t txs = 0;
+  };
+  std::vector<Block> chain;
+  uint64_t state_digest = 0;  ///< app::Service::StateDigest().
+  int64_t executed = 0;       ///< Exactly-once service executions.
+  int64_t duplicates = 0;     ///< Session-table dedup hits.
+};
+
+/// Reads `replica`'s LedgerReport: Digest() once per committed block and
+/// StateDigest() once. Any replica exposing store() and delivery() works
+/// (PrestigeBFT, HotStuff and SBFT all do).
+template <typename Replica>
+LedgerReport BuildLedgerReport(const Replica& replica) {
+  LedgerReport ledger;
+  const auto& chain = replica.store().tx_chain();
+  ledger.chain.reserve(chain.size());
+  for (const auto& block : chain) {
+    ledger.chain.push_back(LedgerReport::Block{
+        block.n(), block.Digest(), static_cast<int64_t>(block.BatchSize())});
+  }
+  const auto& delivery = replica.delivery();
+  ledger.state_digest = delivery.service().StateDigest();
+  ledger.executed = delivery.stats().executed;
+  ledger.duplicates = delivery.stats().duplicates_suppressed;
+  return ledger;
+}
+
+/// The safety sweep (checks 1-4 above), fed the honest replicas' reports
+/// one at a time. Every deployment runs it: CheckSafety in process, and
+/// RunProcessCluster over the reports of prestige_node processes.
+class LedgerSweep {
+ public:
+  /// Folds in `replica`'s report. Returns false at the first violated
+  /// invariant; report() then describes it.
+  bool Add(uint32_t replica, const LedgerReport& ledger);
+  /// Records a printf-formatted violation, also one found outside the
+  /// four checks (a missing report); returns false.
+  __attribute__((format(printf, 2, 3))) bool Fail(const char* format, ...);
+  const SafetyReport& report() const { return report_; }
+
+ private:
+  // Per chain index: (digest, owner) of the first replica holding it.
   struct Reference {
     crypto::Sha256Digest digest;
     uint32_t owner;
   };
-  std::vector<Reference> reference;
-  bool first_honest = true;
-  // Execution reference per chain height: (state digest, executed count,
-  // owner) of the first honest replica seen at that height.
+  // Per chain height: execution state of the first replica at it.
   struct ExecReference {
-    uint64_t state_digest = 0;
-    int64_t executed = 0;
-    uint32_t owner = 0;
-    bool set = false;
+    uint64_t state_digest;
+    int64_t executed;
+    uint32_t owner;
   };
-  std::unordered_map<types::SeqNum, ExecReference> exec_reference;
+  SafetyReport report_;
+  bool first_ = true;
+  std::vector<Reference> reference_;
+  std::unordered_map<types::SeqNum, ExecReference> exec_reference_;
+};
 
+/// True for replicas the sweep owes agreement: honest or crashed.
+template <typename Replica>
+bool SweptByFault(const Replica& replica) {
+  return !replica.fault().IsByzantine() ||
+         replica.fault().type == types::FaultType::kCrash;
+}
+
+/// Checks chain agreement across every honest replica of `cluster`. Works
+/// for any Cluster<Replica, Config> whose Replica exposes store(),
+/// delivery() and fault() (PrestigeBFT, HotStuff, and SBFT all do).
+/// `byzantine` marks replicas excluded from every agreement check in
+/// addition to the FaultSpec-derived exclusions; indices beyond its size
+/// count as honest.
+template <typename Cluster>
+SafetyReport CheckSafety(const Cluster& cluster,
+                         const std::vector<bool>& byzantine) {
+  LedgerSweep sweep;
   for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
     const auto& replica = cluster.replica(i);
-    if (replica.fault().IsByzantine() &&
-        replica.fault().type != types::FaultType::kCrash) {
-      continue;
-    }
+    if (!SweptByFault(replica)) continue;
     if (i < byzantine.size() && byzantine[i]) continue;
-    const auto& chain = replica.store().tx_chain();
-    const types::SeqNum height = static_cast<types::SeqNum>(chain.size());
-    if (first_honest || height < report.min_height) {
-      report.min_height = height;
-    }
-    if (first_honest || height > report.max_height) {
-      report.max_height = height;
-    }
-    first_honest = false;
-
-    if (reference.size() < chain.size()) reference.resize(chain.size());
-    for (size_t k = 0; k < chain.size(); ++k) {
-      const crypto::Sha256Digest& digest = chain[k].Digest();
-      if (reference[k].digest == crypto::Sha256Digest{}) {
-        reference[k] = Reference{digest, i};
-        continue;
-      }
-      if (reference[k].digest != digest) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "conflicting txBlocks at n=%lld: replica %u has %s…, "
-                      "replica %u has %s…",
-                      static_cast<long long>(chain[k].n()), reference[k].owner,
-                      util::HexEncode(reference[k].digest.data(), 4).c_str(),
-                      i, util::HexEncode(digest.data(), 4).c_str());
-        report.ok = false;
-        report.violation = buf;
-        return report;
-      }
-    }
-
-    // 3. Execution-result agreement among replicas at this chain height.
-    const auto& delivery = replica.delivery();
-    const int64_t executed = delivery.stats().executed;
-    const int64_t duplicates = delivery.stats().duplicates_suppressed;
-    const uint64_t state_digest = delivery.service().StateDigest();
-    report.executed_total += executed;
-    report.duplicates_total += duplicates;
-    ExecReference& exec = exec_reference[height];
-    if (!exec.set) {
-      exec = ExecReference{state_digest, executed, i, true};
-    } else if (exec.state_digest != state_digest ||
-               exec.executed != executed) {
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "divergent execution at height %lld: replica %u "
-                    "(digest=%016llx, executed=%lld) vs replica %u "
-                    "(digest=%016llx, executed=%lld)",
-                    static_cast<long long>(height), exec.owner,
-                    static_cast<unsigned long long>(exec.state_digest),
-                    static_cast<long long>(exec.executed), i,
-                    static_cast<unsigned long long>(state_digest),
-                    static_cast<long long>(executed));
-      report.ok = false;
-      report.violation = buf;
-      return report;
-    }
-
-    // 4. Conservation: every committed transaction either executed exactly
-    // once or was suppressed as a session duplicate — never both, never
-    // neither.
-    int64_t chain_txs = 0;
-    for (const auto& block : chain) {
-      chain_txs += static_cast<int64_t>(block.BatchSize());
-    }
-    if (executed + duplicates != chain_txs) {
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "execution count mismatch on replica %u: chain carries "
-                    "%lld txs but executed=%lld + duplicates=%lld",
-                    i, static_cast<long long>(chain_txs),
-                    static_cast<long long>(executed),
-                    static_cast<long long>(duplicates));
-      report.ok = false;
-      report.violation = buf;
-      return report;
-    }
+    if (!sweep.Add(i, BuildLedgerReport(replica))) break;
   }
-  return report;
+  return sweep.report();
 }
 
 /// All-honest convenience overload: no scripted adversaries beyond the
@@ -248,10 +230,7 @@ ShardedSafetyReport CheckShardedSafety(const Cluster& cluster,
     const Chain* chain = nullptr;
     for (uint32_t i = 0; i < per_group; ++i) {
       const auto& replica = cluster.replica(g * per_group + i);
-      if (replica.fault().IsByzantine() &&
-          replica.fault().type != types::FaultType::kCrash) {
-        continue;
-      }
+      if (!SweptByFault(replica)) continue;
       const auto& candidate = replica.store().tx_chain();
       if (chain == nullptr || candidate.size() > chain->size()) {
         chain = &candidate;

@@ -4,15 +4,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "net/socket.h"
+#include "util/hex.h"
 
 namespace prestige {
 namespace harness {
@@ -22,232 +26,299 @@ void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// Finds the value position after `"key":`, or npos.
-size_t FindValue(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  size_t pos = at + needle.size();
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(
-                                  json[pos]))) {
-    ++pos;
+// ------------------------------------------------------------ status JSON
+//
+// The schema Fields(f, m) below hands the named fields of m to the visitor
+// f, the idiom of net/wire.cc: JsonWrite renders them and JsonRead parses
+// them back, so a node's status document has one field list.
+
+template <class M, class T>
+constexpr bool kIs = std::is_same_v<std::remove_const_t<M>, T>;
+
+/// The schema of every status type. M is const under JsonWrite and mutable
+/// under JsonRead.
+template <class F, class M>
+void Fields(F& f, M& m) {
+  if constexpr (kIs<M, net::FrameCounters>) {
+    f("frames_sent", m.frames_sent);
+    f("bytes_sent", m.bytes_sent);
+    f("send_errors", m.send_errors);
+    f("frames_received", m.frames_received);
+    f("bytes_received", m.bytes_received);
+    f("header_drops", m.header_drops);
+    f("wrong_dst_drops", m.wrong_dst_drops);
+    f("length_drops", m.length_drops);
+    f("checksum_drops", m.checksum_drops);
+    f("frag_drops", m.frag_drops);
+    f("decode_drops", m.decode_drops);
+    f("messages_assembled", m.messages_assembled);
+    f("seq_gaps", m.seq_gaps);
+    f("seq_out_of_order", m.seq_out_of_order);
+    f("unserializable_drops", m.unserializable_drops);
+  } else if constexpr (kIs<M, LedgerReport::Block>) {
+    f("n", m.n);
+    f("digest", m.digest);
+    f("txs", m.txs);
+  } else if constexpr (kIs<M, LedgerReport>) {
+    f("chain", m.chain);
+    f("state_digest", m.state_digest);
+    f("executed", m.executed);
+    f("duplicates", m.duplicates);
+  } else if constexpr (kIs<M, NodeReport>) {
+    f("id", m.id);
+    f("replica", m.is_replica);
+    f("running", m.running);
+    f("committed_txs", m.committed_txs);
+    f("committed_blocks", m.committed_blocks);
+    f("view_changes", m.view_changes);
+    f("elections_won", m.elections_won);
+    f("ledger", m.ledger);
+    f("completed", m.completed);
+    f("replies", m.replies);
+    f("result_mismatches", m.result_mismatches);
+    f("retransmissions", m.retransmissions);
+    f("complaints", m.complaints);
+    f("expired", m.expired);
+    f("p50_ms", m.p50_ms);
+    f("p99_ms", m.p99_ms);
+    f("mean_ms", m.mean_ms);
+    f("net", m.net);
+  } else {
+    static_assert(sizeof(M) == 0, "no status schema for this type");
   }
-  return pos;
+}
+
+template <class T>
+constexpr bool kNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+/// Renders a value as JSON; as Fields' visitor, one `"name":value` each.
+class JsonWrite {
+ public:
+  explicit JsonWrite(std::string& out) : out_(out) {}
+
+  template <class T>
+  void operator()(const char* name, const T& v) {
+    out_ += first_ ? "\"" : ",\"";
+    first_ = false;
+    out_ += name;
+    out_ += "\":";
+    One(v);
+  }
+  void One(bool v) { out_ += v ? "true" : "false"; }
+  template <class T>
+  std::enable_if_t<kNumber<T>> One(T v) {
+    char buf[32];  // Shortest round-trip form, doubles included.
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+  void One(const crypto::Sha256Digest& d) {
+    out_ += '"' + util::HexEncode(d.data(), d.size()) + '"';
+  }
+  template <class T>
+  void One(const std::vector<T>& list) {
+    out_ += '[';
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i > 0) out_ += ',';
+      One(list[i]);
+    }
+    out_ += ']';
+  }
+  template <class T>
+  std::enable_if_t<std::is_class_v<T>> One(const T& composite) {
+    out_ += '{';
+    JsonWrite fields(out_);
+    Fields(fields, composite);
+    out_ += '}';
+  }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// Parses a value written by JsonWrite. An object's every key must name a
+/// field of its schema; strings carry no escapes (the schema has none).
+class JsonRead {
+ public:
+  JsonRead(const char*& p, const char* end) : p_(p), end_(end) {}
+
+  /// Fields' visitor: reads the current key's value into its field.
+  template <class T>
+  void operator()(const char* name, T& v) {
+    if (matched_ || key_ != name) return;
+    matched_ = true;
+    One(v);
+  }
+  void One(bool& v) {
+    v = Eat("true");
+    ok_ = ok_ && (v || Eat("false"));
+  }
+  template <class T>
+  std::enable_if_t<kNumber<T>> One(T& v) {
+    SkipSpace();
+    const std::from_chars_result r = std::from_chars(p_, end_, v);
+    ok_ = ok_ && r.ec == std::errc();
+    p_ = r.ptr;
+  }
+  void One(crypto::Sha256Digest& d) {
+    std::string hex;
+    const bool quoted = String(&hex);
+    const auto bytes = util::HexDecode(hex);
+    ok_ = ok_ && quoted && bytes.ok() && bytes->size() == d.size();
+    if (ok_) std::copy(bytes->begin(), bytes->end(), d.begin());
+  }
+  template <class T>
+  void One(std::vector<T>& list) {
+    if (!Eat("[")) {
+      ok_ = false;
+    } else if (!Eat("]")) {
+      do {
+        One(list.emplace_back());
+      } while (ok_ && Eat(","));
+      ok_ = ok_ && Eat("]");
+    }
+  }
+  template <class T>
+  std::enable_if_t<std::is_class_v<T>> One(T& composite) {
+    JsonRead fields(p_, end_);
+    ok_ = ok_ && fields.Object(composite);
+  }
+  /// True when every value parsed and only whitespace is left.
+  bool Done() {
+    SkipSpace();
+    return ok_ && p_ == end_;
+  }
+
+ private:
+  template <class T>
+  bool Object(T& m) {
+    if (!Eat("{")) return false;
+    if (Eat("}")) return true;
+    do {
+      matched_ = false;
+      if (!String(&key_) || !Eat(":")) return false;
+      Fields(*this, m);
+      if (!matched_ || !ok_) return false;
+    } while (Eat(","));
+    return Eat("}");
+  }
+  void SkipSpace() {
+    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
+  }
+  /// Consumes `word` if the input continues with it.
+  bool Eat(std::string_view word) {
+    SkipSpace();
+    if (std::string_view(p_, static_cast<size_t>(end_ - p_))
+            .substr(0, word.size()) != word) {
+      return false;
+    }
+    p_ += word.size();
+    return true;
+  }
+  bool String(std::string* out) {
+    if (!Eat("\"")) return false;
+    const char* close = std::find(p_, end_, '"');
+    if (close == end_) return false;
+    out->assign(p_, close);
+    p_ = close + 1;
+    return true;
+  }
+
+  const char*& p_;
+  const char* end_;
+  std::string key_;
+  bool matched_ = false;
+  bool ok_ = true;
+};
+
+template <class T>
+std::string ToJson(const T& m) {
+  std::string out;
+  JsonWrite(out).One(m);
+  return out;
+}
+
+/// Why `node`'s report is not final, or "" when it is.
+std::string Unfinished(const NodeReport& node) {
+  const std::string who = "node " + std::to_string(node.id);
+  if (!node.responded) return who + " reported no status";
+  if (node.running) return who + " did not stop";
+  return "";
+}
+
+pid_t SpawnNode(const std::string& binary, const std::string& config_path,
+                uint32_t id, const std::string& log_path) {
+  // Flush stdio first: fork duplicates unflushed buffers, and each child
+  // would re-emit the launcher's pending output when its streams close.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  // Child: stdout/stderr to the node's log, then exec.
+  std::FILE* log = std::freopen(log_path.c_str(), "w", stdout);
+  if (log != nullptr) ::dup2(::fileno(stdout), 2);
+  const std::string id_str = std::to_string(id);
+  ::execl(binary.c_str(), "prestige_node", "--config", config_path.c_str(),
+          "--id", id_str.c_str(), static_cast<char*>(nullptr));
+  std::perror("execl prestige_node");
+  std::_Exit(127);
+}
+
+/// One control command; returns false on connect/timeout failure.
+bool ControlCommand(const net::SockAddr& addr, const std::string& command,
+                    std::string* reply, int timeout_ms) {
+  net::TcpConn conn = net::TcpConn::Connect(addr, timeout_ms);
+  if (!conn.valid()) return false;
+  if (!conn.SendLine(command)) return false;
+  return conn.RecvLine(reply, timeout_ms);
+}
+
+/// SIGKILLs and reaps every child (a no-op kill for exited ones).
+void KillAll(std::vector<pid_t>* children) {
+  for (const pid_t pid : *children) {
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+  }
+  children->clear();
 }
 
 }  // namespace
 
-bool JsonFindInt(const std::string& json, const std::string& key,
-                 int64_t* out) {
-  const size_t pos = FindValue(json, key);
-  if (pos == std::string::npos || pos >= json.size()) return false;
-  char* end = nullptr;
-  const long long value = std::strtoll(json.c_str() + pos, &end, 10);
-  if (end == json.c_str() + pos) return false;
-  *out = value;
-  return true;
+std::string NodeStatusJson(const NodeReport& report) {
+  return ToJson(report);
 }
 
-bool JsonFindDouble(const std::string& json, const std::string& key,
-                    double* out) {
-  const size_t pos = FindValue(json, key);
-  if (pos == std::string::npos || pos >= json.size()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(json.c_str() + pos, &end);
-  if (end == json.c_str() + pos) return false;
-  *out = value;
-  return true;
-}
-
-bool JsonFindString(const std::string& json, const std::string& key,
-                    std::string* out) {
-  size_t pos = FindValue(json, key);
-  if (pos == std::string::npos || pos >= json.size() || json[pos] != '"') {
-    return false;
-  }
-  ++pos;
-  const size_t close = json.find('"', pos);
-  if (close == std::string::npos) return false;
-  out->assign(json, pos, close - pos);
-  return true;
+std::string FrameCountersJson(const net::FrameCounters& counters) {
+  return ToJson(counters);
 }
 
 bool ParseNodeStatus(const std::string& json, NodeReport* out) {
-  std::string kind;
-  if (!JsonFindString(json, "kind", &kind)) return false;
-  out->raw = json;
-  out->responded = true;
-  out->is_replica = (kind == "replica");
-  int64_t id = 0;
-  JsonFindInt(json, "id", &id);
-  out->id = static_cast<uint32_t>(id);
-
-  if (out->is_replica) {
-    JsonFindInt(json, "committed_txs", &out->committed_txs);
-    JsonFindInt(json, "committed_blocks", &out->committed_blocks);
-    JsonFindInt(json, "view_changes", &out->view_changes);
-    JsonFindInt(json, "elections_won", &out->elections_won);
-    JsonFindInt(json, "executed", &out->executed);
-    JsonFindInt(json, "duplicates", &out->duplicates);
-    std::string digest_hex;
-    if (JsonFindString(json, "state_digest", &digest_hex)) {
-      out->state_digest = std::strtoull(digest_hex.c_str(), nullptr, 16);
-    }
-    // Chain array: [{"n":1,"d":"16hex","t":50},...]
-    const size_t chain_at = FindValue(json, "chain");
-    if (chain_at != std::string::npos && chain_at < json.size() &&
-        json[chain_at] == '[') {
-      size_t pos = chain_at;
-      const size_t end = json.find(']', pos);
-      while (pos < end) {
-        const size_t obj = json.find('{', pos);
-        if (obj == std::string::npos || obj > end) break;
-        const size_t obj_end = json.find('}', obj);
-        if (obj_end == std::string::npos) break;
-        const std::string entry = json.substr(obj, obj_end - obj + 1);
-        NodeReport::ChainEntry ce;
-        JsonFindInt(entry, "n", &ce.n);
-        JsonFindString(entry, "d", &ce.digest_hex);
-        JsonFindInt(entry, "t", &ce.txs);
-        out->chain.push_back(std::move(ce));
-        pos = obj_end + 1;
-      }
-    }
-  } else {
-    JsonFindInt(json, "completed", &out->completed);
-    JsonFindInt(json, "replies", &out->replies);
-    JsonFindInt(json, "result_mismatches", &out->result_mismatches);
-    JsonFindInt(json, "retransmissions", &out->retransmissions);
-    JsonFindInt(json, "expired", &out->expired);
-    JsonFindDouble(json, "p50_ms", &out->p50_ms);
-    JsonFindDouble(json, "p99_ms", &out->p99_ms);
-    JsonFindDouble(json, "mean_ms", &out->mean_ms);
-  }
-
-  // Frame counters shared by both kinds (flat keys inside "net":{...}).
-  int64_t v = 0;
-  if (JsonFindInt(json, "frames_sent", &v)) {
-    out->net.frames_sent = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "frames_received", &v)) {
-    out->net.frames_received = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "messages_assembled", &v)) {
-    out->net.messages_assembled = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "decode_drops", &v)) {
-    out->net.decode_drops = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "checksum_drops", &v)) {
-    out->net.checksum_drops = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "header_drops", &v)) {
-    out->net.header_drops = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "seq_gaps", &v)) {
-    out->net.seq_gaps = static_cast<uint64_t>(v);
-  }
-  if (JsonFindInt(json, "send_errors", &v)) {
-    out->net.send_errors = static_cast<uint64_t>(v);
-  }
+  NodeReport report;
+  const char* p = json.data();
+  JsonRead read(p, json.data() + json.size());
+  read.One(report);
+  if (!read.Done()) return false;
+  report.responded = true;
+  *out = std::move(report);
   return true;
 }
 
-bool SweepReportedSafety(const std::vector<NodeReport>& nodes,
-                         std::string* violation, int64_t* min_height,
-                         int64_t* max_height) {
-  // Reference digest per height index, and execution reference per chain
-  // height — the same sweep CheckSafety performs, over reported data.
-  struct Reference {
-    std::string digest_hex;
-    uint32_t owner = 0;
-  };
-  std::vector<Reference> reference;
-  struct ExecReference {
-    uint64_t state_digest = 0;
-    int64_t executed = 0;
-    uint32_t owner = 0;
-    bool set = false;
-  };
-  std::map<int64_t, ExecReference> exec_reference;
-  bool first = true;
-  *min_height = 0;
-  *max_height = 0;
-
+SafetyReport SweepNodeReports(const std::vector<NodeReport>& nodes) {
+  LedgerSweep sweep;
+  if (std::none_of(nodes.begin(), nodes.end(),
+                   [](const NodeReport& node) { return node.is_replica; })) {
+    sweep.Fail("no replica reports to sweep");
+  }
   for (const NodeReport& node : nodes) {
-    if (!node.is_replica) continue;
-    if (!node.responded) {
-      *violation =
-          "replica " + std::to_string(node.id) + " reported no status";
-      return false;
-    }
-    const int64_t height = static_cast<int64_t>(node.chain.size());
-    if (first || height < *min_height) *min_height = height;
-    if (first || height > *max_height) *max_height = height;
-    first = false;
-
-    if (reference.size() < node.chain.size()) {
-      reference.resize(node.chain.size());
-    }
-    for (size_t k = 0; k < node.chain.size(); ++k) {
-      const NodeReport::ChainEntry& entry = node.chain[k];
-      if (reference[k].digest_hex.empty()) {
-        reference[k] = Reference{entry.digest_hex, node.id};
-        continue;
-      }
-      if (reference[k].digest_hex != entry.digest_hex) {
-        char buf[200];
-        std::snprintf(buf, sizeof(buf),
-                      "conflicting txBlocks at n=%lld: replica %u has %s…, "
-                      "replica %u has %s…",
-                      static_cast<long long>(entry.n), reference[k].owner,
-                      reference[k].digest_hex.c_str(), node.id,
-                      entry.digest_hex.c_str());
-        *violation = buf;
-        return false;
-      }
-    }
-
-    ExecReference& exec = exec_reference[height];
-    if (!exec.set) {
-      exec = ExecReference{node.state_digest, node.executed, node.id, true};
-    } else if (exec.state_digest != node.state_digest ||
-               exec.executed != node.executed) {
-      char buf[220];
-      std::snprintf(buf, sizeof(buf),
-                    "divergent execution at height %lld: replica %u "
-                    "(digest=%016llx, executed=%lld) vs replica %u "
-                    "(digest=%016llx, executed=%lld)",
-                    static_cast<long long>(height), exec.owner,
-                    static_cast<unsigned long long>(exec.state_digest),
-                    static_cast<long long>(exec.executed), node.id,
-                    static_cast<unsigned long long>(node.state_digest),
-                    static_cast<long long>(node.executed));
-      *violation = buf;
-      return false;
-    }
-
-    int64_t chain_txs = 0;
-    for (const NodeReport::ChainEntry& entry : node.chain) {
-      chain_txs += entry.txs;
-    }
-    if (node.executed + node.duplicates != chain_txs) {
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "execution count mismatch on replica %u: chain carries "
-                    "%lld txs but executed=%lld + duplicates=%lld",
-                    node.id, static_cast<long long>(chain_txs),
-                    static_cast<long long>(node.executed),
-                    static_cast<long long>(node.duplicates));
-      *violation = buf;
-      return false;
+    if (!sweep.report().ok) break;
+    const std::string unfinished = Unfinished(node);
+    if (!unfinished.empty()) {
+      sweep.Fail("%s", unfinished.c_str());
+    } else if (node.is_replica) {
+      sweep.Add(node.id, node.ledger);
     }
   }
-  if (first) {
-    *violation = "no replica reports to sweep";
-    return false;
-  }
-  return true;
+  return sweep.report();
 }
 
 bool AllocateLoopbackPorts(net::ClusterConfig* config, std::string* error) {
@@ -278,53 +349,6 @@ bool AllocateLoopbackPorts(net::ClusterConfig* config, std::string* error) {
   return true;
 }
 
-namespace {
-
-/// One spawned prestige_node process.
-struct Child {
-  pid_t pid = -1;
-  uint32_t node_id = 0;
-};
-
-pid_t SpawnNode(const std::string& binary, const std::string& config_path,
-                uint32_t id, const std::string& log_path) {
-  // Flush stdio first: fork duplicates unflushed buffers, and each child
-  // would re-emit the launcher's pending output when its streams close.
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  // Child: stdout/stderr to the node's log, then exec.
-  std::FILE* log = std::freopen(log_path.c_str(), "w", stdout);
-  if (log != nullptr) ::dup2(::fileno(stdout), 2);
-  const std::string id_str = std::to_string(id);
-  ::execl(binary.c_str(), "prestige_node", "--config", config_path.c_str(),
-          "--id", id_str.c_str(), static_cast<char*>(nullptr));
-  std::perror("execl prestige_node");
-  std::_Exit(127);
-}
-
-/// One control command; returns false on connect/timeout failure.
-bool ControlCommand(const net::SockAddr& addr, const std::string& command,
-                    std::string* reply, int timeout_ms) {
-  net::TcpConn conn = net::TcpConn::Connect(addr, timeout_ms);
-  if (!conn.valid()) return false;
-  if (!conn.SendLine(command)) return false;
-  return conn.RecvLine(reply, timeout_ms);
-}
-
-void ReapAll(std::vector<Child>* children, bool force) {
-  for (Child& child : *children) {
-    if (child.pid <= 0) continue;
-    if (force) ::kill(child.pid, SIGKILL);
-    int status = 0;
-    ::waitpid(child.pid, &status, 0);
-    child.pid = -1;
-  }
-}
-
-}  // namespace
-
 ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
   ProcessClusterResult result;
   net::ClusterConfig config = options.config;
@@ -343,19 +367,17 @@ ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
     out << net::FormatClusterConfig(config);
   }
 
-  std::vector<Child> children;
+  std::vector<pid_t> children;
   for (const net::PeerEntry& peer : config.peers) {
-    Child child;
-    child.node_id = peer.id;
-    child.pid = SpawnNode(
+    const pid_t pid = SpawnNode(
         options.node_binary, config_path, peer.id,
         options.work_dir + "/node-" + std::to_string(peer.id) + ".log");
-    if (child.pid < 0) {
+    if (pid < 0) {
       result.error = "fork failed for node " + std::to_string(peer.id);
-      ReapAll(&children, /*force=*/true);
+      KillAll(&children);
       return result;
     }
-    children.push_back(child);
+    children.push_back(pid);
   }
 
   // Ping barrier: every control socket must answer before the clock
@@ -373,7 +395,7 @@ ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
       if (waited.count() > options.startup_timeout_ms) {
         result.error =
             "node " + std::to_string(peer.id) + " failed the ping barrier";
-        ReapAll(&children, /*force=*/true);
+        KillAll(&children);
         return result;
       }
       SleepMs(50);
@@ -405,21 +427,19 @@ ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
     ControlCommand(peer.control, "quit", &reply, 2000);
   }
   SleepMs(200);
-  ReapAll(&children, /*force=*/true);  // SIGKILL is a no-op for exited pids.
+  KillAll(&children);
 
   result.ran = true;
   for (const NodeReport& node : result.nodes) {
-    if (!node.responded) {
-      result.error =
-          "node " + std::to_string(node.id) + " reported no status";
+    const std::string unfinished = Unfinished(node);
+    if (!unfinished.empty()) {
+      result.error = unfinished;
       result.ran = false;
     }
     result.net.MergeFrom(node.net);
     if (node.is_replica) {
       result.view_changes += node.view_changes;
       result.elections_won += node.elections_won;
-      result.executed += node.executed;
-      result.duplicates += node.duplicates;
     } else {
       result.committed += node.completed;
       result.replies += node.replies;
@@ -432,10 +452,7 @@ ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options) {
                    ? static_cast<double>(result.committed) /
                          result.duration_seconds
                    : 0.0;
-  result.safety_ok =
-      result.ran && SweepReportedSafety(result.nodes, &result.violation,
-                                        &result.min_height,
-                                        &result.max_height);
+  result.safety = SweepNodeReports(result.nodes);
   return result;
 }
 

@@ -1,6 +1,6 @@
 // ProcessCluster: launches an n-replica (+ client pools) deployment as
-// separate OS processes over loopback UDP and sweeps safety invariants
-// over their post-mortem reports.
+// separate OS processes over loopback UDP and runs the harness safety
+// sweep over their final reports.
 //
 // The launcher side of the deployment story (the node side is
 // tools/prestige_node):
@@ -9,16 +9,14 @@
 //   3. ping-barrier every control socket until the fleet is up;
 //   4. let the scripted duration elapse, then `stop` + `status` + `quit`
 //      each node over its control socket and reap the processes;
-//   5. parse the status JSON and re-run the CheckSafety sweep — per-height
-//      digest agreement, execution agreement at equal heights, and
-//      executed + duplicates == chain-tx conservation — over the reported
-//      chains, exactly the invariants the in-process harnesses enforce.
+//   5. parse each status reply into a NodeReport and run LedgerSweep
+//      (harness/invariants.h) over the replicas' LedgerReports — the same
+//      sweep CheckSafety runs over in-process clusters.
 //
-// Unlike the in-process clusters this cannot inspect replica objects, so
-// nodes self-report: each status reply carries the replica's committed
-// chain as (n, digest-prefix, tx-count) triples plus its execution
-// counters, or the pool's client statistics. A crashed node (no status
-// reply) fails the run.
+// Nodes self-report: prestige_node builds its LedgerReport with
+// BuildLedgerReport, as CheckSafety does, and ships it with full block
+// digests. A node with no status reply, or one that answered while still
+// running, fails the run.
 
 #ifndef PRESTIGE_HARNESS_PROCESS_CLUSTER_H_
 #define PRESTIGE_HARNESS_PROCESS_CLUSTER_H_
@@ -27,39 +25,34 @@
 #include <string>
 #include <vector>
 
+#include "harness/invariants.h"
 #include "net/address.h"
 #include "net/frame.h"
 
 namespace prestige {
 namespace harness {
 
-/// Everything one node reported in its final `status` reply.
+/// Everything one node reports in its `status` reply. Every field travels
+/// in the status JSON; replica and pool fields are zero on the other kind.
 struct NodeReport {
   uint32_t id = 0;
   bool is_replica = true;
-  bool responded = false;
-  std::string raw;  ///< The full status JSON line, for logs/artifacts.
+  bool running = false;    ///< Answered while live: not a final report.
+  bool responded = false;  ///< Launcher side: a status reply parsed.
 
   // Replica fields.
   int64_t committed_txs = 0;
   int64_t committed_blocks = 0;
   int64_t view_changes = 0;
   int64_t elections_won = 0;
-  int64_t executed = 0;
-  int64_t duplicates = 0;
-  uint64_t state_digest = 0;
-  struct ChainEntry {
-    int64_t n = 0;
-    std::string digest_hex;  ///< First 8 digest bytes, 16 hex chars.
-    int64_t txs = 0;
-  };
-  std::vector<ChainEntry> chain;
+  LedgerReport ledger;
 
   // Pool fields.
   int64_t completed = 0;
   int64_t replies = 0;
   int64_t result_mismatches = 0;
   int64_t retransmissions = 0;
+  int64_t complaints = 0;
   int64_t expired = 0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -67,6 +60,24 @@ struct NodeReport {
 
   net::FrameCounters net;
 };
+
+/// One node's status reply: a single JSON line. NodeStatusJson and
+/// ParseNodeStatus share one field list, so whatever is written parses
+/// back exactly.
+std::string NodeStatusJson(const NodeReport& report);
+
+/// Parses a NodeStatusJson line and sets `responded`. Returns false, with
+/// `out` untouched, on malformed JSON or a key outside the field list.
+bool ParseNodeStatus(const std::string& json, NodeReport* out);
+
+/// The JSON object of a set of frame counters, all 15 fields: the `net`
+/// block of node status, prestige_cluster --json and bench_runner's socket
+/// block.
+std::string FrameCountersJson(const net::FrameCounters& counters);
+
+/// The safety sweep over a fleet's reports: every node must have answered
+/// `status` after `stop`, then LedgerSweep runs over the replicas.
+SafetyReport SweepNodeReports(const std::vector<NodeReport>& nodes);
 
 /// Outcome of one multi-process run.
 struct ProcessClusterResult {
@@ -79,14 +90,10 @@ struct ProcessClusterResult {
   double p99_ms = 0.0;
   int64_t view_changes = 0;
   int64_t elections_won = 0;
-  int64_t executed = 0;
-  int64_t duplicates = 0;
   int64_t replies = 0;
   int64_t result_mismatches = 0;
-  bool safety_ok = false;
-  std::string violation;
-  int64_t min_height = 0;
-  int64_t max_height = 0;
+  /// SweepNodeReports over `nodes`: heights and execution totals too.
+  SafetyReport safety;
   net::FrameCounters net;  ///< Summed over every node.
   std::vector<NodeReport> nodes;
 };
@@ -108,28 +115,6 @@ bool AllocateLoopbackPorts(net::ClusterConfig* config, std::string* error);
 /// Runs the full launch → run → harvest → sweep sequence. Always reaps
 /// every child it spawned (SIGKILL on the error paths).
 ProcessClusterResult RunProcessCluster(const ProcessClusterOptions& options);
-
-/// The CheckSafety sweep over self-reported chains; exposed for tests.
-/// Returns true and fills heights when every invariant holds, else false
-/// with `violation` describing the first failure.
-bool SweepReportedSafety(const std::vector<NodeReport>& nodes,
-                         std::string* violation, int64_t* min_height,
-                         int64_t* max_height);
-
-// Minimal JSON field extractors for the flat status documents the control
-// protocol emits (exposed for tests and prestige_cluster's reporting).
-// They scan for `"key":` at top level or inside nested objects; the first
-// occurrence wins, so emit unambiguous keys.
-bool JsonFindInt(const std::string& json, const std::string& key,
-                 int64_t* out);
-bool JsonFindDouble(const std::string& json, const std::string& key,
-                    double* out);
-bool JsonFindString(const std::string& json, const std::string& key,
-                    std::string* out);
-
-/// Parses one node's status JSON into a NodeReport (id/kind/counters/
-/// chain). Returns false on documents missing the `kind` marker.
-bool ParseNodeStatus(const std::string& json, NodeReport* out);
 
 }  // namespace harness
 }  // namespace prestige

@@ -12,13 +12,16 @@
 //   * RNG           — rng(), a per-node deterministic stream forked from
 //                     the run seed.
 //
-// Two backends implement Env:
+// Three backends implement Env:
 //   * runtime::SimEnv (sim_env.h) hosts nodes on the deterministic
 //     discrete-event simulator — virtual time, modelled network costs,
 //     bit-for-bit reproducible runs;
 //   * runtime::ThreadedRuntime (threaded_env.h) hosts each node on its own
 //     OS thread — wall-clock time, in-process loopback transport with real
-//     queues, true concurrency.
+//     queues, true concurrency;
+//   * runtime::SocketRuntime (socket_env.h) hosts nodes on OS threads and
+//     carries every message through the wire codec as UDP datagrams — the
+//     backend of the prestige_node multi-process deployment.
 //
 // The contract every backend upholds (and protocol code relies on):
 //   * callbacks of one node never run concurrently with each other — a

@@ -127,6 +127,22 @@ TEST(SbftTest, HeavyCryptoWeightReducesThroughput) {
   EXPECT_GT(run(1), run(16));
 }
 
+TEST(SbftTest, CrashedReplicaStopsRotatingViews) {
+  // A FaultSpec crash stops the replica's timers as well as its inbox: its
+  // view timer must not keep rotating views after the crash fires.
+  sbft::SbftConfig config;
+  config.n = 4;
+  config.batch_size = 100;
+  std::vector<types::FaultSpec> faults(4, types::FaultSpec::Honest());
+  faults[2] = types::FaultSpec::Crash(Seconds(1));
+  SbCluster cluster(config, SmallWorkload(13), faults);
+  cluster.Start();
+  cluster.RunFor(Millis(1100));
+  const types::View at_crash = cluster.replica(2).view();
+  cluster.RunFor(Seconds(5));
+  EXPECT_EQ(cluster.replica(2).view(), at_crash);
+}
+
 // -------------------------------------------------------------- Prosecutor
 
 TEST(ProsecutorTest, CommitsUnderNormalOperation) {

@@ -1,8 +1,8 @@
 // prestige_cluster: spawns an n-replica (+ client pool) loopback cluster
 // as separate prestige_node OS processes, runs a scripted steady-state
 // window, harvests per-process metrics over the control sockets, and
-// sweeps the committed-prefix / execution invariants over the reported
-// chains (harness/process_cluster.h).
+// runs the harness safety sweep (committed prefix, execution agreement,
+// conservation) over the reported ledgers (harness/process_cluster.h).
 //
 // Usage:
 //   prestige_cluster --node-binary ./prestige_node [--protocol prestigebft]
@@ -40,7 +40,8 @@ int Usage() {
 std::string ClusterJson(const prestige::harness::ProcessClusterResult& r,
                         const prestige::net::ClusterConfig& config,
                         int64_t min_committed) {
-  char buf[1600];
+  const prestige::harness::SafetyReport& safety = r.safety;
+  char buf[1200];
   std::snprintf(
       buf, sizeof(buf),
       "{\n"
@@ -67,13 +68,7 @@ std::string ClusterJson(const prestige::harness::ProcessClusterResult& r,
       "  \"result_mismatches\": %lld,\n"
       "  \"min_height\": %lld,\n"
       "  \"max_height\": %lld,\n"
-      "  \"safe\": %s,\n"
-      "  \"net\": {\"frames_sent\": %llu, \"frames_received\": %llu,\n"
-      "    \"messages_assembled\": %llu, \"seq_gaps\": %llu,\n"
-      "    \"seq_out_of_order\": %llu, \"header_drops\": %llu,\n"
-      "    \"checksum_drops\": %llu, \"length_drops\": %llu,\n"
-      "    \"frag_drops\": %llu, \"decode_drops\": %llu,\n"
-      "    \"send_errors\": %llu, \"unserializable_drops\": %llu},\n",
+      "  \"safe\": %s,\n",
       config.protocol.c_str(), config.n, config.pools,
       config.clients_per_pool, config.batch, config.payload,
       config.n + config.pools,
@@ -82,26 +77,15 @@ std::string ClusterJson(const prestige::harness::ProcessClusterResult& r,
       static_cast<long long>(min_committed), r.tps, r.p50_ms, r.p99_ms,
       static_cast<long long>(r.view_changes),
       static_cast<long long>(r.elections_won),
-      static_cast<long long>(r.executed),
-      static_cast<long long>(r.duplicates),
+      static_cast<long long>(safety.executed_total),
+      static_cast<long long>(safety.duplicates_total),
       static_cast<long long>(r.replies),
       static_cast<long long>(r.result_mismatches),
-      static_cast<long long>(r.min_height),
-      static_cast<long long>(r.max_height),
-      r.safety_ok ? "true" : "false",
-      static_cast<unsigned long long>(r.net.frames_sent),
-      static_cast<unsigned long long>(r.net.frames_received),
-      static_cast<unsigned long long>(r.net.messages_assembled),
-      static_cast<unsigned long long>(r.net.seq_gaps),
-      static_cast<unsigned long long>(r.net.seq_out_of_order),
-      static_cast<unsigned long long>(r.net.header_drops),
-      static_cast<unsigned long long>(r.net.checksum_drops),
-      static_cast<unsigned long long>(r.net.length_drops),
-      static_cast<unsigned long long>(r.net.frag_drops),
-      static_cast<unsigned long long>(r.net.decode_drops),
-      static_cast<unsigned long long>(r.net.send_errors),
-      static_cast<unsigned long long>(r.net.unserializable_drops));
+      static_cast<long long>(safety.min_height),
+      static_cast<long long>(safety.max_height),
+      safety.ok ? "true" : "false");
   std::string json = buf;
+  json += "  \"net\": " + prestige::harness::FrameCountersJson(r.net) + ",\n";
   json += "  \"build\": " + prestige::bench::BuildMetadataJson() + ",\n";
   json += std::string("  \"sanitized\": ") +
           (prestige::bench::SanitizedBuild() ? "true" : "false") + "\n}\n";
@@ -210,8 +194,8 @@ int main(int argc, char** argv) {
       "  safety=%s%s%s\n",
       static_cast<long long>(result.committed),
       static_cast<long long>(min_committed), result.tps, result.p50_ms,
-      result.p99_ms, static_cast<long long>(result.min_height),
-      static_cast<long long>(result.max_height),
+      result.p99_ms, static_cast<long long>(result.safety.min_height),
+      static_cast<long long>(result.safety.max_height),
       static_cast<long long>(result.view_changes),
       static_cast<unsigned long long>(result.net.frames_sent),
       static_cast<unsigned long long>(result.net.frames_received),
@@ -221,9 +205,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.net.checksum_drops),
       static_cast<unsigned long long>(result.net.frag_drops),
       static_cast<unsigned long long>(result.net.decode_drops),
-      result.safety_ok ? "ok" : "VIOLATION",
-      result.safety_ok ? "" : ": ",
-      result.safety_ok ? "" : result.violation.c_str());
+      result.safety.ok ? "ok" : "VIOLATION",
+      result.safety.ok ? "" : ": ",
+      result.safety.ok ? "" : result.safety.violation.c_str());
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -239,7 +223,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  if (!result.safety_ok) return 1;
+  if (!result.safety.ok) return 1;
   if (result.committed < min_committed) {
     std::fprintf(stderr,
                  "prestige_cluster: committed %lld below floor %lld\n",

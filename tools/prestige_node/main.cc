@@ -13,12 +13,13 @@
 // connection:
 //   ping    ->  "ok" (liveness, safe mid-run)
 //   stop    ->  stops the runtime (joins the event loop), replies "ok"
-//   status  ->  one JSON line; full counters + committed chain after stop,
-//               a minimal {"running":true} subset while live
+//   status  ->  one JSON line, harness::NodeStatusJson of this node's
+//               NodeReport: counters and the ledger report after stop;
+//               while live, "running":true with every counter zero
 //   quit    ->  "ok", then the process exits 0
 //
 // prestige_cluster (tools/prestige_cluster) drives fleets of these and
-// sweeps cross-replica invariants over their status reports.
+// runs the harness safety sweep over their status reports.
 
 #include <cstdio>
 #include <cstring>
@@ -31,43 +32,25 @@
 #include "baselines/hotstuff/hotstuff_replica.h"
 #include "baselines/sbft/sbft_replica.h"
 #include "core/replica.h"
+#include "harness/process_cluster.h"
 #include "net/address.h"
 #include "net/socket.h"
 #include "runtime/socket_env.h"
-#include "util/hex.h"
 #include "workload/client_pool.h"
 
 namespace {
 
+using prestige::harness::NodeReport;
 using prestige::net::ClusterConfig;
 using prestige::net::PeerEntry;
 
-std::string FrameCountersJson(const prestige::net::FrameCounters& c) {
-  std::ostringstream out;
-  out << "{\"frames_sent\":" << c.frames_sent
-      << ",\"bytes_sent\":" << c.bytes_sent
-      << ",\"send_errors\":" << c.send_errors
-      << ",\"frames_received\":" << c.frames_received
-      << ",\"bytes_received\":" << c.bytes_received
-      << ",\"header_drops\":" << c.header_drops
-      << ",\"wrong_dst_drops\":" << c.wrong_dst_drops
-      << ",\"length_drops\":" << c.length_drops
-      << ",\"checksum_drops\":" << c.checksum_drops
-      << ",\"frag_drops\":" << c.frag_drops
-      << ",\"decode_drops\":" << c.decode_drops
-      << ",\"messages_assembled\":" << c.messages_assembled
-      << ",\"seq_gaps\":" << c.seq_gaps
-      << ",\"seq_out_of_order\":" << c.seq_out_of_order
-      << ",\"unserializable_drops\":" << c.unserializable_drops << "}";
-  return out.str();
-}
-
-/// Serves the control protocol until `quit`. `status` renders this node's
-/// report; `running` flips false once `stop` has joined the event loops,
-/// making the full (state-reading) report race-free.
+/// Serves the control protocol until `quit`. `status` replies with this
+/// node's report; `fill` adds the counters and ledger only once `stop` has
+/// joined the event loops, when reading node state is race-free.
 int ControlLoop(prestige::net::TcpListener* control,
                 prestige::runtime::SocketRuntime* runtime,
-                const std::function<std::string(bool)>& status) {
+                const PeerEntry& self,
+                const std::function<void(NodeReport*)>& fill) {
   bool running = true;
   for (;;) {
     const int fd = control->Accept(200);
@@ -82,7 +65,15 @@ int ControlLoop(prestige::net::TcpListener* control,
       running = false;
       conn.SendLine("ok");
     } else if (command == "status") {
-      conn.SendLine(status(running));
+      NodeReport report;
+      report.id = self.id;
+      report.is_replica = self.kind == PeerEntry::Kind::kReplica;
+      report.running = running;
+      if (!running) {
+        report.net = runtime->node_net_stats(self.id);
+        fill(&report);
+      }
+      conn.SendLine(prestige::harness::NodeStatusJson(report));
     } else if (command == "quit") {
       conn.SendLine("ok");
       runtime->Stop();
@@ -98,70 +89,6 @@ void PublishPeers(prestige::runtime::SocketRuntime* runtime,
   for (const PeerEntry& peer : config.peers) {
     if (peer.id != self_id) runtime->SetPeer(peer.id, peer.data);
   }
-}
-
-template <typename Replica>
-std::string ReplicaStatusJson(const Replica& replica,
-                              prestige::runtime::SocketRuntime& runtime,
-                              const ClusterConfig& config,
-                              const PeerEntry& self, bool running) {
-  std::ostringstream out;
-  out << "{\"id\":" << self.id << ",\"kind\":\"replica\",\"protocol\":\""
-      << config.protocol << "\",\"running\":" << (running ? "true" : "false");
-  if (running) {
-    // The event loop still owns replica state; report only what is safe.
-    out << "}";
-    return out.str();
-  }
-  const auto& metrics = replica.metrics();
-  const auto& delivery = replica.delivery();
-  char digest[24];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(
-                    delivery.service().StateDigest()));
-  out << ",\"committed_txs\":" << metrics.committed_txs
-      << ",\"committed_blocks\":" << metrics.committed_blocks
-      << ",\"view_changes\":" << metrics.view_changes_started
-      << ",\"elections_won\":" << metrics.elections_won
-      << ",\"executed\":" << delivery.stats().executed
-      << ",\"duplicates\":" << delivery.stats().duplicates_suppressed
-      << ",\"state_digest\":\"" << digest << "\""
-      << ",\"net\":" << FrameCountersJson(runtime.node_net_stats(self.id))
-      << ",\"chain\":[";
-  const auto& chain = replica.store().tx_chain();
-  for (size_t k = 0; k < chain.size(); ++k) {
-    if (k > 0) out << ",";
-    out << "{\"n\":" << chain[k].n() << ",\"d\":\""
-        << prestige::util::HexEncode(chain[k].Digest().data(), 8)
-        << "\",\"t\":" << chain[k].BatchSize() << "}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::string PoolStatusJson(prestige::workload::ClientPool& pool,
-                           prestige::runtime::SocketRuntime& runtime,
-                           const PeerEntry& self, bool running) {
-  std::ostringstream out;
-  out << "{\"id\":" << self.id << ",\"kind\":\"pool\",\"running\":"
-      << (running ? "true" : "false");
-  if (running) {
-    out << "}";
-    return out.str();
-  }
-  const auto& stats = pool.stats();
-  out << ",\"completed\":" << stats.completed
-      << ",\"replies\":" << stats.replies_received
-      << ",\"result_mismatches\":" << stats.result_mismatches
-      << ",\"retransmissions\":" << stats.retransmissions
-      << ",\"complaints\":" << stats.complaints_sent
-      << ",\"expired\":" << stats.expired << ",\"p50_ms\":"
-      << pool.latencies().Percentile(50) << ",\"p99_ms\":"
-      << pool.latencies().Percentile(99) << ",\"mean_ms\":"
-      << pool.latencies().Mean()
-      << ",\"net\":" << FrameCountersJson(runtime.node_net_stats(self.id))
-      << "}";
-  return out.str();
 }
 
 template <typename Replica, typename Config>
@@ -185,8 +112,13 @@ int RunReplicaNode(const ClusterConfig& config, const PeerEntry& self,
     return 1;
   }
   runtime.Start();
-  return ControlLoop(&control, &runtime, [&](bool running) {
-    return ReplicaStatusJson(replica, runtime, config, self, running);
+  return ControlLoop(&control, &runtime, self, [&](NodeReport* report) {
+    const auto& metrics = replica.metrics();
+    report->committed_txs = metrics.committed_txs;
+    report->committed_blocks = metrics.committed_blocks;
+    report->view_changes = metrics.view_changes_started;
+    report->elections_won = metrics.elections_won;
+    report->ledger = prestige::harness::BuildLedgerReport(replica);
   });
 }
 
@@ -213,8 +145,17 @@ int RunPoolNode(const ClusterConfig& config, const PeerEntry& self) {
     return 1;
   }
   runtime.Start();
-  return ControlLoop(&control, &runtime, [&](bool running) {
-    return PoolStatusJson(pool, runtime, self, running);
+  return ControlLoop(&control, &runtime, self, [&](NodeReport* report) {
+    const auto& stats = pool.stats();
+    report->completed = stats.completed;
+    report->replies = stats.replies_received;
+    report->result_mismatches = stats.result_mismatches;
+    report->retransmissions = stats.retransmissions;
+    report->complaints = stats.complaints_sent;
+    report->expired = stats.expired;
+    report->p50_ms = pool.latencies().Percentile(50);
+    report->p99_ms = pool.latencies().Percentile(99);
+    report->mean_ms = pool.latencies().Mean();
   });
 }
 
